@@ -14,10 +14,10 @@ simulation.  This package makes that structure first-class:
 * :func:`~repro.exp.sweep.run_sweep` — execute a whole grid across a
   ``multiprocessing`` pool, with an incremental result store keyed by
   config hash;
-* :mod:`~repro.exp.store` — the result-store layer: one
-  :class:`~repro.exp.store.ResultStore` protocol, a JSON-directory
-  backend and an append-only SQLite backend, selected by path
-  (``repro sweep --store``, ``repro migrate``);
+* :mod:`~repro.exp.store` — the result store: one append-only SQLite
+  :class:`~repro.exp.store.SqliteStore` behind every command, plus
+  read-only row sources for ``--json`` dumps and legacy JSON cache
+  directories (``repro migrate`` imports the latter);
 * :func:`~repro.exp.spec.shard_cells` — deterministic cross-machine
   grid partitioning (``repro sweep --shard I/N``);
 * :mod:`~repro.exp.merge` — recombine shard stores / row dumps into
@@ -64,15 +64,11 @@ from repro.exp.api import (
     portability,
     translation_overhead,
 )
-from repro.exp.cache import SweepCache
 from repro.exp.cell import build_tenant_workloads, run_cell
 from repro.exp.diff import (
     DiffResult,
     MetricDelta,
-    diff_caches,
-    diff_rows,
     diff_stores,
-    load_side,
     render_diff,
     scalar_delta,
 )
@@ -112,14 +108,11 @@ from repro.exp.spec import (
     shard_cells,
 )
 from repro.exp.store import (
-    STORES,
-    JsonDirStore,
-    ResultStore,
     RunRecord,
     SqliteStore,
     StoreCounts,
+    open_source,
     open_store,
-    store_kind_of,
 )
 from repro.exp.sweep import SweepResult, run_sweep
 
@@ -133,18 +126,14 @@ __all__ = [
     "Figure7Result",
     "HistoryResult",
     "HistorySeries",
-    "JsonDirStore",
     "MergeConflict",
     "MergeSummary",
     "MetricDelta",
     "PortabilityRow",
     "RecordOutcome",
-    "ResultStore",
     "RunRecord",
-    "STORES",
     "SqliteStore",
     "StoreCounts",
-    "SweepCache",
     "SweepResult",
     "SweepSpec",
     "TranslationOverheadResult",
@@ -160,8 +149,6 @@ __all__ = [
     "contention",
     "csv_table",
     "delta_bar_chart",
-    "diff_caches",
-    "diff_rows",
     "diff_stores",
     "figure7",
     "figure8",
@@ -172,9 +159,9 @@ __all__ = [
     "load_cache_rows",
     "markdown_table",
     "load_history",
-    "load_side",
     "merge_into",
     "migrate_store",
+    "open_source",
     "open_store",
     "portability",
     "record_cell",
@@ -188,7 +175,6 @@ __all__ = [
     "scalar_delta",
     "shard_cells",
     "stacked_bar_chart",
-    "store_kind_of",
     "stream_report",
     "translation_overhead",
 ]

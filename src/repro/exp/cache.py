@@ -1,30 +1,38 @@
-"""Incremental result cache: one JSON file per executed cell.
+"""The payload gatekeeper and the two JSON row sources.
 
-Cache entries are keyed by :func:`~repro.exp.spec.config_hash`, which
-covers every config field plus a schema version, so a re-run only
-simulates cells whose configuration (or result schema) changed.  Each
-file stores the full config alongside the result and is verified on
-load — a hash collision or a hand-edited file degrades to a miss, never
-to silently wrong numbers.
+Every stored row is a ``{"version": ..., "result": ...}`` payload
+keyed by :func:`~repro.exp.spec.config_hash`, which covers every
+config field plus :data:`~repro.exp.spec.CACHE_VERSION`.  Each payload
+embeds the full config and is verified on load by :func:`parse_entry`
+— a hash collision, a schema bump or a hand-edited entry degrades to
+a miss, never to silently wrong numbers.
+
+Besides the SQLite store (:mod:`repro.exp.store`), two JSON formats
+stay readable, as sources only:
+
+* ``repro sweep --json`` row dumps (:class:`RowDump`), which ``repro
+  diff`` and ``repro merge`` accept;
+* legacy cache directories of ``<config-hash>.json`` files
+  (:class:`LegacyDir`), the result store before SQLite, which only
+  ``repro merge`` / ``repro migrate`` import.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 from pathlib import Path
 
 from repro.errors import ReproError
 from repro.exp.results import CellResult
-from repro.exp.spec import CACHE_VERSION, CellConfig
+from repro.exp.spec import CACHE_VERSION
 
 
 def parse_entry(payload) -> CellResult | None:
     """Verify one cache-entry payload; the single gatekeeper.
 
-    Every consumer of cache entries (:meth:`SweepCache.load`, the
-    shard merger, the report loader) funnels through this check so
-    they cannot drift apart in what they accept.
+    Every reader of stored rows (the SQLite store, the row-dump and
+    legacy-directory sources) funnels through this check so they
+    cannot drift apart in what they accept.
 
     Parameters
     ----------
@@ -59,17 +67,18 @@ ENTRY_STATUSES = ("ok", "stale-version", "invalid")
 
 
 def iter_classified(root: str | Path):
-    """Yield ``(path, status, CellResult | None)`` for entries of *root*.
+    """Yield ``(path, status, CellResult | None)`` for a legacy cache
+    directory *root*.
 
-    The one shared directory walk for cache consumers (the shard
-    merger, the report loader, the cross-run differ): entries are
-    visited in sorted filename order and each payload goes through
+    The one walk over legacy JSON cache directories: entries are
+    visited in sorted filename order — config-hash order for every
+    loadable entry — and each payload goes through
     :func:`parse_entry`.  *status* is one of :data:`ENTRY_STATUSES`;
     the result is non-``None`` only for ``"ok"``.  A version mismatch
-    is classified ``"stale-version"`` (the differ reports those
-    distinctly — they usually mean a ``CACHE_VERSION`` bump, not
-    corruption); a file whose name does not match its own config hash
-    is ``"invalid"`` — a hand-renamed entry is skipped, never re-keyed.
+    is classified ``"stale-version"`` (it usually means a
+    ``CACHE_VERSION`` bump, not corruption); a file whose name does
+    not match its own config hash is ``"invalid"`` — a hand-renamed
+    entry is skipped, never re-keyed.
     """
     for path in sorted(Path(root).glob("*.json")):
         try:
@@ -92,26 +101,14 @@ def iter_classified(root: str | Path):
             yield path, "invalid", None
 
 
-def iter_entries(root: str | Path):
-    """Yield ``(path, CellResult | None)`` for every entry under *root*.
-
-    The status-blind face of :func:`iter_classified`, for consumers
-    that only distinguish loadable from not (the merger skips both
-    stale and corrupt files the same way).
-    """
-    for path, _status, result in iter_classified(root):
-        yield path, result
-
-
 def iter_dump_rows(path: str | Path):
     """Yield ``(origin, CellResult | None)`` for a ``--json`` row dump.
 
-    The one reader of ``repro sweep --json`` dump files, shared by the
-    shard merger and the cross-run differ so they cannot drift in what
-    they accept: the file must be a JSON list of bare result rows,
-    each adopted under the current :data:`~repro.exp.spec.CACHE_VERSION`
-    and verified through :func:`parse_entry` (an unparsable row yields
-    ``None``).  *origin* is ``"<path>[<index>]"`` for messages.
+    The one reader of ``repro sweep --json`` dump files: the file
+    must be a JSON list of bare result rows, each adopted under the
+    current :data:`~repro.exp.spec.CACHE_VERSION` and verified through
+    :func:`parse_entry` (an unparsable row yields ``None``).
+    *origin* is ``"<path>[<index>]"`` for messages.
 
     Raises
     ------
@@ -125,7 +122,7 @@ def iter_dump_rows(path: str | Path):
         raise ReproError(f"unreadable row dump {path}: {error}")
     if not isinstance(rows, list):
         raise ReproError(
-            f"{path} is not a cache directory or a "
+            f"{path} is not a SQLite result store or a "
             "`repro sweep --json` row dump"
         )
     for index, row in enumerate(rows):
@@ -133,83 +130,56 @@ def iter_dump_rows(path: str | Path):
         yield origin, parse_entry({"version": CACHE_VERSION, "result": row})
 
 
-class SweepCache:
-    """A directory of ``<config-hash>.json`` cell results.
+class _FileSource:
+    """The read-only source lifecycle: nothing to release."""
 
-    Parameters
-    ----------
-    root : str or Path
-        Cache directory; created (with parents) if missing.
+    def __init__(self, path: str | Path) -> None:
+        self.location = str(path)
 
-    Notes
-    -----
-    ``len(cache)`` counts the **loadable** entries — a stale-version
-    or corrupt ``*.json`` file is not an entry, exactly as it is not a
-    row to :meth:`load` or to any reader above.  Every entry embeds
-    the full config and :data:`~repro.exp.spec.CACHE_VERSION`, so a
-    schema bump, a hash collision or a hand-edited file degrades to a
-    miss — never to silently wrong numbers.
+    def close(self) -> None:
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        self.close()
+
+
+class RowDump(_FileSource):
+    """A ``repro sweep --json`` dump as a key-sorted row source.
+
+    A dump is an in-memory JSON list already, so sorting its rows by
+    config hash costs no extra materialisation.  Unparsable rows are
+    classified ``"invalid"`` and come first.
     """
 
-    def __init__(self, root: str | Path) -> None:
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
+    def __init__(self, path: str | Path) -> None:
+        super().__init__(path)
+        self._invalid: list[str] = []
+        loaded: list[tuple[str, CellResult]] = []
+        for origin, result in iter_dump_rows(path):
+            if result is None:
+                self._invalid.append(origin)
+            else:
+                loaded.append((origin, result))
+        loaded.sort(key=lambda item: item[1].key)
+        self._rows = loaded
+        self._by_key = {result.key: result for _origin, result in loaded}
 
-    def _path(self, config: CellConfig) -> Path:
-        return self.root / f"{config.key()}.json"
+    def iter_classified(self):
+        for origin in self._invalid:
+            yield origin, "invalid", None
+        for origin, result in self._rows:
+            yield origin, "ok", result
 
-    def load(self, config: CellConfig) -> CellResult | None:
-        """Look up the cached result for one configuration.
+    def row(self, key: str) -> CellResult | None:
+        return self._by_key.get(key)
 
-        Parameters
-        ----------
-        config : CellConfig
-            The configuration whose hash names the cache file.
 
-        Returns
-        -------
-        CellResult or None
-            The verified cached row, or ``None`` on any miss (absent
-            file, unreadable JSON, version or config mismatch).
-        """
-        path = self._path(config)
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return None
-        result = parse_entry(payload)
-        if result is None:
-            return None
-        if replace(result.config, engine=config.engine) != config:
-            # The engine field is excluded from the config hash because
-            # backends are result-equivalent: a row priced by either
-            # backend serves a sweep running the other.  Any *other*
-            # config mismatch is a collision or corruption — a miss.
-            return None
-        return result
+class LegacyDir(_FileSource):
+    """A legacy JSON cache directory as a key-sorted row source."""
 
-    def store(self, result: CellResult) -> Path:
-        """Persist one executed cell.
-
-        Parameters
-        ----------
-        result : CellResult
-            The row to store; its embedded config provides the key.
-
-        Returns
-        -------
-        Path
-            The JSON file written.
-        """
-        path = self._path(result.config)
-        payload = {"version": CACHE_VERSION, "result": result.to_dict()}
-        path.write_text(
-            json.dumps(payload, sort_keys=True, indent=1) + "\n", encoding="utf-8"
-        )
-        return path
-
-    def __len__(self) -> int:
-        return sum(
-            1 for _path, status, _result in iter_classified(self.root)
-            if status == "ok"
-        )
+    def iter_classified(self):
+        for path, status, result in iter_classified(self.location):
+            yield str(path), status, result

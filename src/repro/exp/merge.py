@@ -1,16 +1,14 @@
 """Merge sharded sweep results into one result store, out-of-core.
 
 A grid sharded with ``repro sweep --shard I/N`` leaves N partial
-result stores (JSON cache directories, SQLite stores, or ``--json``
-row dumps) on N machines.  This module recombines them: every entry
-lands in one destination store under its config hash, written through
-the :class:`~repro.exp.store.ResultStore` layer so a JSON destination
-holds files byte-identical to what a single unsharded run would have
-produced — which is what makes a post-merge re-run report ``0
-simulated`` and a post-merge ``repro sweep --report`` byte-match the
-unsharded report.  ``repro migrate SRC DEST`` is the single-source
-special case and is how a JSON cache becomes a SQLite store (and
-back).
+result stores (SQLite files, ``--json`` row dumps, or legacy JSON
+cache directories) on N machines.  This module recombines them: every
+entry lands in one SQLite destination under its config hash, holding
+exactly the rows a single unsharded run would have written — which is
+what makes a post-merge re-run report ``0 simulated`` and a post-merge
+``repro report`` byte-match the unsharded report.  ``repro migrate SRC
+DEST`` is the single-source special case and is how a legacy JSON
+cache directory becomes a SQLite store.
 
 Sources are consumed as **key-sorted streams** joined with a heap
 merge, so the merge holds one row per source at a time — constant
@@ -29,9 +27,13 @@ from itertools import groupby
 from pathlib import Path
 
 from repro.errors import ReproError
-from repro.exp.cache import iter_dump_rows
 from repro.exp.results import CellResult
-from repro.exp.store import ResultStore, is_sqlite_file, open_store
+from repro.exp.store import (
+    SqliteStore,
+    is_sqlite_file,
+    open_source,
+    open_store,
+)
 
 
 def same_result(known: CellResult, other: CellResult) -> bool:
@@ -120,51 +122,19 @@ class MergeSummary:
         )
 
 
-def _source_factory(path: Path):
-    """A zero-argument stream factory for one merge source.
-
-    Calling the factory yields ``(origin, CellResult | None)`` with
-    the loadable rows in **key-sorted order** (``None`` marks a
-    skipped entry and may appear anywhere).  A directory or SQLite
-    file streams through its :class:`~repro.exp.store.ResultStore`;
-    any other file is a ``repro sweep --json`` dump read through the
-    shared :func:`~repro.exp.cache.iter_dump_rows` gatekeeper (dumps
-    are in-memory JSON lists already, so sorting them is free of any
-    extra materialisation).
-    """
-    if path.is_dir() or is_sqlite_file(path):
-        store = open_store(path)
-
-        def stream():
-            for origin, _status, result in store.iter_classified():
-                yield origin, result
-
-        return stream
-
-    def stream():
-        rows = list(iter_dump_rows(path))
-        yield from (
-            (origin, None) for origin, result in rows if result is None
-        )
-        yield from sorted(
-            ((origin, result) for origin, result in rows if result is not None),
-            key=lambda item: item[1].key,
-        )
-
-    return stream
+def _keyed(path: Path, index: int, skip_counter: list[int] | None):
+    """One source's loadable rows, key-sorted, decorated for the heap
+    join; unloadable entries are counted as skips."""
+    with open_source(path, legacy=True) as source:
+        for origin, _status, result in source.iter_classified():
+            if result is None:
+                if skip_counter is not None:
+                    skip_counter[0] += 1
+                continue
+            yield result.key, index, origin, result
 
 
-def _keyed(stream, index: int, skip_counter: list[int] | None):
-    """Decorate a source stream for the heap join, counting skips."""
-    for origin, result in stream():
-        if result is None:
-            if skip_counter is not None:
-                skip_counter[0] += 1
-            continue
-        yield result.key, index, origin, result
-
-
-def _joined(factories, skip_counter: list[int] | None):
+def _joined(sources: list[Path], skip_counter: list[int] | None):
     """All sources joined into one key-grouped sorted stream.
 
     Yields ``(key, group)`` where *group* iterates
@@ -173,8 +143,8 @@ def _joined(factories, skip_counter: list[int] | None):
     """
     merged = heapq.merge(
         *(
-            _keyed(stream, index, skip_counter)
-            for index, stream in enumerate(factories)
+            _keyed(path, index, skip_counter)
+            for index, path in enumerate(sources)
         ),
         key=lambda item: item[:2],
     )
@@ -185,29 +155,22 @@ def merge_into(
     dest: str | Path,
     sources: list[str | Path],
     dry_run: bool = False,
-    dest_kind: str | None = None,
 ) -> MergeSummary:
     """Merge *sources* (stores and/or row dumps) into the store *dest*.
 
     Parameters
     ----------
     dest : str or Path
-        Destination result store; created if missing (a ``.sqlite``
-        path creates a SQLite store, anything else a JSON cache
-        directory — see :func:`~repro.exp.store.open_store`).  May
-        already hold entries (e.g. an earlier shard) — they
-        participate in conflict detection like any source entry.
+        Destination SQLite store; created if missing, whatever its
+        suffix.  May already hold entries (e.g. an earlier shard) —
+        they participate in conflict detection like any source entry.
     sources : list of str or Path
-        Result stores (JSON directories or SQLite files) and/or
-        ``repro sweep --json`` dump files, merged in order.
+        SQLite stores, ``repro sweep --json`` dump files and/or legacy
+        JSON cache directories, merged in order.
     dry_run : bool
         Read and cross-check everything, write nothing.  Conflicts are
         returned on the summary instead of raised, so CI can pre-flight
         a shard recombination and report all problems at once.
-    dest_kind : str, optional
-        Force the backend of a not-yet-existing destination
-        (:data:`~repro.exp.store.STORES`); contradicting an existing
-        destination is an error.
 
     Returns
     -------
@@ -227,28 +190,56 @@ def merge_into(
         winner.
     """
     dest_path = Path(dest)
-    if dest_path.exists() and not dest_path.is_dir() \
-            and not is_sqlite_file(dest_path):
+    if dest_path.is_file() and not is_sqlite_file(dest_path):
         raise ReproError(
-            f"merge destination {dest_path} is not a directory or a "
-            "SQLite store (did you swap DEST with a --json dump source?)"
+            f"merge destination {dest_path} is not a SQLite store (did "
+            "you swap DEST with a --json dump source?)"
         )
-    for source in sources:
-        if not Path(source).exists():
-            raise ReproError(f"merge source {source} does not exist")
+    paths = [Path(source) for source in sources]
+    for path in paths:
+        if not path.exists():
+            raise ReproError(f"merge source {path} does not exist")
     # Don't create the destination yet: a merge that fails validation
     # or conflict detection (and any --dry-run) must leave the
     # filesystem untouched.
-    dest_store: ResultStore | None = (
-        open_store(dest_path, kind=dest_kind) if dest_path.exists() else None
+    dest_store: SqliteStore | None = (
+        open_store(dest_path) if dest_path.exists() else None
     )
-    factories = [_source_factory(Path(source)) for source in sources]
+    try:
+        summary = _cross_check(dest_path, dest_store, paths, dry_run)
+        if dry_run:
+            return summary
+        # Pass 2: all sources agree; now create the destination and
+        # write the first-seen row of every key it does not already
+        # hold.
+        if dest_store is None:
+            dest_store = open_store(dest_path, create=True)
+        for _key, group in _joined(paths, None):
+            _key2, _index, _origin, result = next(group)
+            if dest_store.get(result.config) is None:
+                dest_store.put(result)
+            for _rest in group:
+                pass
+        return summary
+    finally:
+        if dest_store is not None:
+            dest_store.close()
+
+
+def _cross_check(
+    dest_path: Path,
+    dest_store: SqliteStore | None,
+    paths: list[Path],
+    dry_run: bool,
+) -> MergeSummary:
+    """Pass 1 of :func:`merge_into` (read-only): stream-join every
+    source, cross-check it against the others and the destination,
+    and count what a merge would write."""
     skip_counter = [0]
     written = identical = 0
     usable = False
     conflicts: list[MergeConflict] = []
-    # Pass 1 (read-only): stream-join every source and cross-check.
-    for key, group in _joined(factories, skip_counter):
+    for key, group in _joined(paths, skip_counter):
         usable = True
         _key, _index, first_origin, first_result = next(group)
         existing = (
@@ -290,44 +281,29 @@ def merge_into(
         # or genuinely empty dirs): exiting green here would push the
         # failure downstream to a misleading "no loadable results".
         raise ReproError(
-            f"nothing to merge: no usable entry in {len(sources)} "
+            f"nothing to merge: no usable entry in {len(paths)} "
             f"source(s) ({skip_counter[0]} stale/invalid file(s) skipped)"
         )
-    summary = MergeSummary(
+    return MergeSummary(
         dest=str(dest_path),
         written=written,
         identical=identical,
         skipped=skip_counter[0],
-        sources=tuple(str(s) for s in sources),
+        sources=tuple(str(path) for path in paths),
         dry_run=dry_run,
         conflicts=tuple(conflicts),
     )
-    if dry_run:
-        return summary
-    # Pass 2: all sources agree; now create the destination and write
-    # the first-seen row of every key it does not already hold.
-    if dest_store is None:
-        dest_store = open_store(dest_path, kind=dest_kind, create=True)
-    for _key, group in _joined(factories, None):
-        _key2, _index, _origin, result = next(group)
-        if dest_store.get(result.config) is None:
-            dest_store.put(result)
-        for _rest in group:
-            pass
-    dest_store.close()
-    return summary
 
 
-def migrate_store(
-    source: str | Path, dest: str | Path, dest_kind: str | None = None
-) -> MergeSummary:
-    """Copy one result store into another — the ``repro migrate`` path.
+def migrate_store(source: str | Path, dest: str | Path) -> MergeSummary:
+    """Copy one row source into a SQLite store — ``repro migrate``.
 
     A single-source :func:`merge_into`, which is exactly the right
     machinery: the copy streams row by row, inherits conflict
-    detection against anything *dest* already holds, accepts ``--json``
-    dumps as sources, and a JSON→SQLite→JSON round trip reproduces the
-    original files byte-identically (the payload bytes are preserved
-    end to end).
+    detection against anything *dest* already holds, and accepts a
+    legacy JSON cache directory, a SQLite store or a ``--json`` dump
+    as its source.  Each row's payload is preserved exactly, so a
+    report of the imported store is byte-identical to one of the
+    original cache.
     """
-    return merge_into(dest, [source], dest_kind=dest_kind)
+    return merge_into(dest, [source])

@@ -1,28 +1,29 @@
-"""Cache-driven reporting: render tables from a sweep cache, no sim.
+"""Store-driven reporting: render tables from a result store, no sim.
 
-The result cache (:mod:`repro.exp.cache`) is the system's durable
-result store: every executed cell lives there as one verified JSON
-file.  This module turns a cache directory back into the paper's
-tables — the SW / VIM / HW totals, the SW(DP) / SW(IMU) decomposition
-and the speedup-over-software column — without re-running anything:
+The SQLite result store (:mod:`repro.exp.store`) is the system's
+durable record: every executed cell lives there as one verified row.
+This module turns a store back into the paper's tables — the SW / VIM
+/ HW totals, the SW(DP) / SW(IMU) decomposition and the
+speedup-over-software column — without re-running anything:
 
-* :func:`load_cache_rows` — read every valid entry of a cache
-  directory into :class:`~repro.exp.results.CellResult` rows, in a
-  canonical machine-independent order;
+* :func:`stream_report` — the ungrouped report, written row by row
+  straight off the store's sorted cursor;
+* :func:`load_cache_rows` — read every valid row of a store into
+  :class:`~repro.exp.results.CellResult` rows, in a canonical
+  machine-independent order;
 * :func:`render_report` — group the rows along chosen config axes and
   render one table per group, in ``md`` / ``csv`` / ``ascii``;
 * :func:`render_table` — the shared low-level table renderer (also
   the formatting route for the benchmark reports and the CLI);
 * :func:`bar_chart` / :func:`stacked_bar_chart` /
-  :func:`delta_bar_chart` — the ASCII chart renderers (historically
-  ``analysis/charts.py``, now a compat shim over these).
+  :func:`delta_bar_chart` — the ASCII chart renderers.
 
 Because the row order is canonical (sorted by label, then config
-hash), a report rendered from N merged shard caches is byte-identical
+hash), a report rendered from N merged shard stores is byte-identical
 to one rendered from a single unsharded run — the property the CI
-matrix asserts.  ``repro sweep --report`` is the command-line face of
-this module; with ``--baseline DIR`` every numeric cell is annotated
-with its delta against a second cache (the PR-vs-main workflow), and
+matrix asserts.  ``repro report`` is the command-line face of this
+module; with ``--baseline PATH`` every numeric cell is annotated with
+its delta against a second store (the PR-vs-main workflow), and
 ``repro diff`` (:mod:`repro.exp.diff`) builds its regression tables
 and delta bars from the same renderers.
 """
@@ -38,7 +39,7 @@ from typing import Callable
 from repro.errors import ReproError
 from repro.exp.results import REPLICATED_COLUMNS, CellResult
 from repro.exp.spec import CellConfig
-from repro.exp.store import ResultStore, open_store, store_kind_of
+from repro.exp.store import SqliteStore, open_store
 
 #: Output formats ``render_report`` / ``render_table`` understand
 #: (the CLI spells this ``--format {md,csv,ascii}``).
@@ -287,7 +288,7 @@ class Column:
     value: Callable[[CellResult], object]
 
 
-#: Every column ``--report`` can render, keyed by its selector name.
+#: Every column a report can render, keyed by its selector name.
 COLUMNS: dict[str, Column] = {
     "cell": Column("cell", lambda r: r.label),
     "sw_ms": Column("SW ms", lambda r: r.sw_ms),
@@ -331,7 +332,7 @@ for _field in REPLICATED_COLUMNS:
     )
 del _field
 
-#: The default ``--report`` column set: the SW(DP)/SW(IMU) time
+#: The default report column set: the SW(DP)/SW(IMU) time
 #: decomposition plus the speedup-over-software column of Figures 8/9.
 DEFAULT_COLUMNS = (
     "cell", "sw_ms", "vim_ms", "hw_ms", "sw_dp_ms", "sw_imu_ms",
@@ -367,7 +368,7 @@ def group_axes() -> tuple[str, ...]:
 
 
 # ----------------------------------------------------------------------
-# Cache loading
+# Store loading
 # ----------------------------------------------------------------------
 
 
@@ -379,8 +380,8 @@ class CacheRows:
     ----------
     rows : tuple of CellResult
         Every valid entry, sorted by ``(label, key)`` — a canonical
-        order independent of filesystem listing order, store backend,
-        or of which machine (or shard) produced each entry.
+        order independent of insertion order or of which machine (or
+        shard) produced each entry.
     skipped : int
         Entries that did not parse as current-version rows (stale
         schema version, corrupt JSON, hash mismatch) and were left
@@ -394,14 +395,13 @@ class CacheRows:
 def load_cache_rows(
     cache_dir: str | Path, allow_empty: bool = False
 ) -> CacheRows:
-    """Load every valid cell result stored under *cache_dir*.
+    """Load every valid cell result stored in *cache_dir*.
 
     Parameters
     ----------
     cache_dir : str or Path
-        A result store: a sweep-cache directory (``--cache DIR`` of a
-        previous run, the output of
-        :func:`repro.exp.merge.merge_into`) or a SQLite store file.
+        A SQLite result store (the ``--cache`` of a previous run, or
+        the output of :func:`repro.exp.merge.merge_into`).
     allow_empty : bool
         With the default ``False``, a store holding no valid entry
         raises.  ``True`` returns an empty row set instead — the
@@ -417,21 +417,19 @@ def load_cache_rows(
     Raises
     ------
     ReproError
-        If the store does not exist, or (unless *allow_empty*)
-        holds no valid entry.
+        If *cache_dir* is not a SQLite result store (see
+        :func:`~repro.exp.store.open_store`), or (unless
+        *allow_empty*) holds no valid entry.
     """
     root = Path(cache_dir)
-    if not root.exists() or store_kind_of(root) is None:
-        raise ReproError(f"cache directory {root} does not exist")
-    store = open_store(root)
     rows = []
     skipped = 0
-    for _origin, status, result in store.iter_classified():
-        if status == "ok":
-            rows.append(result)
-        else:
-            skipped += 1
-    store.close()
+    with open_store(root) as store:
+        for _origin, status, result in store.iter_classified():
+            if status == "ok":
+                rows.append(result)
+            else:
+                skipped += 1
     if not rows and not allow_empty:
         raise ReproError(
             f"no loadable cell results in {root} "
@@ -501,7 +499,7 @@ def render_report(
         picks :func:`default_columns` — the classic set, widened by
         the mean/CV summaries when any row is replicated.
     baseline : iterable of CellResult, optional
-        A second run's rows (``--baseline DIR``).  Every numeric cell
+        A second run's rows (``--baseline PATH``).  Every numeric cell
         is annotated with its delta against the baseline row of the
         same config hash (:func:`format_delta`); rows with no baseline
         counterpart are marked ``(new)``, and baseline rows absent
@@ -598,7 +596,7 @@ def render_report(
 
 
 def stream_report(
-    store: ResultStore,
+    store: SqliteStore,
     out,
     fmt: str = "md",
     columns=None,
@@ -610,7 +608,7 @@ def stream_report(
     formatted and written immediately, so a 10k-cell report never
     holds 10k rows.  The bytes written are identical to
     ``render_report(rows, fmt=fmt, columns=columns)`` over the same
-    store — the property the cross-backend CI job asserts.
+    store.
 
     ``md`` and ``csv`` are single-pass; ``ascii`` needs column widths
     up front, so it walks the cursor twice (still one row in memory
@@ -620,7 +618,7 @@ def stream_report(
 
     Parameters
     ----------
-    store : ResultStore
+    store : SqliteStore
         The store to report.
     out : file-like
         Destination; written via ``out.write`` with no trailing
@@ -701,7 +699,7 @@ def report_from_cache(
     strict: bool = True,
     baseline_dir: str | Path | None = None,
 ) -> str:
-    """Load *cache_dir* and render its report — the ``--report`` path.
+    """Load the store *cache_dir* and render its report.
 
     A convenience composition of :func:`load_cache_rows` and
     :func:`render_report`; no simulation happens.
@@ -709,12 +707,12 @@ def report_from_cache(
     Parameters
     ----------
     strict : bool
-        With the default ``True``, raise if any cache file had to be
+        With the default ``True``, raise if any stored entry had to be
         skipped (stale version, corrupt, renamed) — a partial table
         must not pass silently as the whole grid.  ``False`` renders
         the loadable subset; the CLI does that, printing a warning.
     baseline_dir : str or Path, optional
-        A second cache directory (``--baseline DIR``): every numeric
+        A second store (``--baseline PATH``): every numeric
         cell gains its delta against the baseline row of the same
         config hash.  Stale/invalid baseline entries never fail the
         report — a baseline from an older ``CACHE_VERSION`` simply has

@@ -510,9 +510,7 @@ def replica_fingerprint(cells) -> str:
     *up to seeds* — the identity ``repro diff --bands cv`` compares,
     where the whole point is that the two runs used different seeds.
     """
-    keys = sorted({replica_hash(cell) for cell in cells})
-    digest = hashlib.sha256("\n".join(keys).encode("ascii"))
-    return digest.hexdigest()[:12]
+    return fingerprint_from_keys(replica_hash(cell) for cell in cells)
 
 
 @dataclass(frozen=True)

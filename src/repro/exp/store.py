@@ -1,34 +1,27 @@
-"""The result-store layer: every durable row lives behind one protocol.
+"""The result store: every durable row lives in one SQLite file.
 
-Historically the sweep cache *was* a directory of JSON files, and every
-consumer (the merger, the differ, the report renderer) walked that
-directory itself.  This module inverts that: :class:`ResultStore` is
-the one contract — put/get by config hash, classified streaming
-iteration in canonical order, loadable-row counts, run metadata — and
-the consumers above it never touch files.  Two implementations exist:
+:class:`SqliteStore` is the one contract everything above the store
+layer codes to — put/get by config hash, classified streaming
+iteration in canonical order, loadable-row counts, run history — and
+the consumers above it (sweep, merge, diff, report, history, the
+sweep service) never touch files.  It is an append-only SQLite
+database: one row per ``(key, version)`` with the full payload,
+flattened metric columns for analytics, and an insertion timestamp /
+run id.  WAL journaling keeps concurrent shard writers safe, and reads
+stream straight off indexed cursors, so a 10k-cell report never
+materialises 10k rows.
 
-* :class:`JsonDirStore` — the per-cell JSON directory, now a thin
-  adapter over :mod:`repro.exp.cache`.  It stays the migration reader
-  and writer: its files are byte-identical to what
-  :meth:`~repro.exp.cache.SweepCache.store` always wrote, so a store
-  migrated to SQLite and back reproduces the original directory
-  exactly.
-* :class:`SqliteStore` — an append-only SQLite database, one row per
-  ``(key, version)`` with the full payload, flattened metric columns
-  for analytics, and an insertion timestamp / run id.  WAL journaling
-  keeps concurrent shard writers safe, and reads stream straight off
-  indexed cursors, so a 10k-cell report never materialises 10k rows.
-
-Store selection is by path inspection (:func:`open_store`): a
-directory is a JSON store, a ``.sqlite`` file (or anything carrying
-the SQLite magic) is a SQLite store.  ``repro migrate SRC DEST``
-copies any store into any other through the merge machinery.
+Two older formats stay readable as *sources*, never as stores:
+``repro sweep --json`` row dumps (``repro diff`` and ``repro merge``
+accept them) and the legacy per-cell JSON cache directories, which
+only ``repro merge`` / ``repro migrate`` import.  :func:`open_source`
+opens any of them as one key-sorted classified stream; every other
+command refuses a directory with a pointer at ``repro migrate``.
 
 Run identity (``run_id``, timestamps) deliberately lives *next to* the
 payload, never inside it: :func:`~repro.exp.spec.config_hash` covers
 what was computed, not when, so re-running an identical cell is a
-no-op append-wise and reports stay byte-identical across backends and
-migrations.
+no-op append-wise and reports stay byte-identical across migrations.
 """
 
 from __future__ import annotations
@@ -40,16 +33,12 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from repro.errors import ReproError
-from repro.exp.cache import SweepCache, iter_classified, parse_entry
+from repro.exp.cache import LegacyDir, RowDump, parse_entry
 from repro.exp.results import CellResult
 from repro.exp.spec import CACHE_VERSION, CellConfig
 
-#: Store kinds :func:`open_store` understands (the CLI spells this
-#: ``--store {json,sqlite}``).
-STORES = ("json", "sqlite")
-
-#: File suffixes that select the SQLite backend for a not-yet-existing
-#: destination path.
+#: File suffixes under which an empty file still counts as a SQLite
+#: store (a database another process has only just created).
 _SQLITE_SUFFIXES = (".sqlite", ".sqlite3", ".db")
 
 #: The on-disk magic every SQLite database file starts with.
@@ -83,180 +72,7 @@ class RunRecord:
     rows: int  #: result versions appended by the run
 
 
-class ResultStore:
-    """The store contract everything above the store layer codes to.
-
-    Notes
-    -----
-    Iteration methods are **streaming**: they yield one row at a time
-    in a canonical order and never materialise the whole store, which
-    is what lets merge/diff/report run out-of-core.  ``len(store)``
-    counts only loadable current-version rows — a stale or corrupt
-    entry is not an entry (the historical ``SweepCache.__len__``
-    counted every ``*.json`` file; the protocol inherits the corrected
-    semantics).
-    """
-
-    #: One of :data:`STORES`; set by each implementation.
-    kind: str = ""
-
-    def __init__(self, location: str) -> None:
-        self.location = location
-
-    # -- write/read by config -----------------------------------------
-
-    def put(self, result: CellResult) -> None:
-        """Persist one executed cell under its config hash."""
-        raise NotImplementedError
-
-    def get(self, config: CellConfig) -> CellResult | None:
-        """The stored row for *config*, or ``None`` on any miss.
-
-        Matching is modulo the ``engine`` field, exactly like
-        :meth:`~repro.exp.cache.SweepCache.load`: backends are
-        result-equivalent, so a row priced by either serves both.
-        """
-        raise NotImplementedError
-
-    # -- streaming iteration ------------------------------------------
-
-    def iter_classified(self):
-        """Yield ``(origin, status, CellResult | None)`` in key order.
-
-        *status* is one of :data:`~repro.exp.cache.ENTRY_STATUSES`;
-        the result is non-``None`` only for ``"ok"``.  *origin* names
-        the entry for conflict/skip messages.
-        """
-        raise NotImplementedError
-
-    def iter_rows(self):
-        """Yield every loadable row, sorted by config hash."""
-        for _origin, status, result in self.iter_classified():
-            if status == "ok":
-                yield result
-
-    def iter_report_rows(self):
-        """Yield every loadable row in report order: ``(label, key)``.
-
-        The canonical rendering order of :mod:`repro.exp.report`; the
-        base implementation re-sorts the key-ordered stream via a
-        small ``(label, key)`` index, holding at most one full row at
-        a time.  Backends with a native sorted cursor override this.
-        """
-        raise NotImplementedError
-
-    # -- metadata ------------------------------------------------------
-
-    def counts(self) -> StoreCounts:
-        """Classified entry counts (one streaming pass)."""
-        ok = stale = invalid = 0
-        for _origin, status, _result in self.iter_classified():
-            if status == "ok":
-                ok += 1
-            elif status == "stale-version":
-                stale += 1
-            else:
-                invalid += 1
-        return StoreCounts(ok=ok, stale=stale, invalid=invalid)
-
-    def any_replicated(self) -> bool:
-        """Whether any loadable row was swept with ``--replicates``>1
-        (selects the widened default report column set)."""
-        return any(row.config.replicates > 1 for row in self.iter_rows())
-
-    def runs(self) -> tuple[RunRecord, ...]:
-        """Recorded write sessions, oldest first.
-
-        Only the SQLite backend records run history; the JSON
-        directory returns an empty tuple (files carry no insertion
-        metadata — one reason the CI baselines moved to SQLite).
-        """
-        return ()
-
-    def iter_versions(self):
-        """Yield every stored version for trend analytics.
-
-        ``(key, label, version, run_id, CellResult | None)`` ordered
-        by ``(label, key, version)``.  Raises on backends that keep no
-        version history.
-        """
-        raise ReproError(
-            f"{self.kind} store {self.location} records no run history; "
-            "migrate it to SQLite first: repro migrate "
-            f"{self.location} {self.location}.sqlite"
-        )
-
-    def __len__(self) -> int:
-        return self.counts().ok
-
-    # -- lifecycle -----------------------------------------------------
-
-    def close(self) -> None:
-        """Release any underlying handle (idempotent)."""
-
-    def __enter__(self) -> "ResultStore":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
-
-
-class JsonDirStore(ResultStore):
-    """The per-cell JSON directory as a :class:`ResultStore`.
-
-    A thin adapter over :class:`~repro.exp.cache.SweepCache` and
-    :func:`~repro.exp.cache.iter_classified` — same files, same bytes,
-    same gatekeeper.  The directory is created lazily on first
-    :meth:`put` (or eagerly with ``create=True``) so read-only opens
-    of a merge destination leave the filesystem untouched.
-    """
-
-    kind = "json"
-
-    def __init__(self, root: str | Path, create: bool = False) -> None:
-        super().__init__(str(root))
-        self.root = Path(root)
-        self._cache: SweepCache | None = None
-        if create:
-            self._sweep_cache()
-
-    def _sweep_cache(self) -> SweepCache:
-        if self._cache is None:
-            self._cache = SweepCache(self.root)
-        return self._cache
-
-    def put(self, result: CellResult) -> None:
-        self._sweep_cache().store(result)
-
-    def get(self, config: CellConfig) -> CellResult | None:
-        if not self.root.is_dir():
-            return None
-        return self._sweep_cache().load(config)
-
-    def iter_classified(self):
-        for path, status, result in iter_classified(self.root):
-            yield str(path), status, result
-
-    def iter_report_rows(self):
-        # Pass 1 builds a (label, key, path) index — strings only, no
-        # row objects retained; pass 2 re-parses each file on demand,
-        # so at most one CellResult is alive at a time.
-        index: list[tuple[str, str, Path]] = []
-        for path, status, result in iter_classified(self.root):
-            if status == "ok":
-                index.append((result.label, result.key, path))
-        index.sort(key=lambda item: item[:2])
-        for _label, _key, path in index:
-            try:
-                payload = json.loads(path.read_text(encoding="utf-8"))
-            except (OSError, ValueError):
-                continue  # deleted or corrupted between the passes
-            result = parse_entry(payload)
-            if result is not None:
-                yield result
-
-
-class SqliteStore(ResultStore):
+class SqliteStore:
     """An append-only SQLite result store.
 
     One row per ``(config hash, version)``: the verified JSON payload
@@ -270,9 +86,13 @@ class SqliteStore(ResultStore):
     WAL journaling is enabled at creation so concurrent shard writers
     (and a reader rendering a report mid-sweep) do not block each
     other.
-    """
 
-    kind = "sqlite"
+    Iteration methods are **streaming**: they yield one row at a time
+    in a canonical order and never materialise the whole store, which
+    is what lets merge/diff/report run out-of-core.  ``len(store)``
+    counts only loadable current-version rows — a stale or corrupt
+    entry is not an entry.
+    """
 
     #: Result columns flattened into SQL columns (analytics can GROUP
     #: BY / aggregate without parsing payloads).  The payload stays the
@@ -321,7 +141,7 @@ class SqliteStore(ResultStore):
         create: bool = False,
         threadsafe: bool = False,
     ) -> None:
-        super().__init__(str(path))
+        self.location = str(path)
         self.path = Path(path)
         if not create and not self.path.exists():
             raise ReproError(f"result store {self.path} does not exist")
@@ -403,19 +223,31 @@ class SqliteStore(ResultStore):
             return None  # re-keyed row: skipped, never served under key
         return result
 
-    def get(self, config: CellConfig) -> CellResult | None:
+    def row(self, key: str) -> CellResult | None:
+        """The latest stored row under config hash *key*, or ``None``
+        if there is none or it does not load."""
         row = self._db.execute(
-            "SELECT payload FROM results WHERE key = ? "
+            "SELECT cache_version, payload FROM results WHERE key = ? "
             "ORDER BY version DESC LIMIT 1",
-            (config.key(),),
+            (key,),
         ).fetchone()
         if row is None:
             return None
-        result = self._parse(config.key(), row[0])
+        return self._classify(key, *row)[1]
+
+    def get(self, config: CellConfig) -> CellResult | None:
+        """The stored row for *config*, or ``None`` on any miss.
+
+        Matching is modulo the ``engine`` field: backends are
+        result-equivalent and excluded from the config hash, so a row
+        priced by either serves a sweep running the other.  Any
+        *other* config mismatch is a collision or corruption — a miss.
+        """
+        result = self.row(config.key())
         if result is None:
             return None
         if replace(result.config, engine=config.engine) != config:
-            return None  # same engine-modulo contract as SweepCache.load
+            return None
         return result
 
     def _classify(self, key, cache_version, payload):
@@ -434,7 +266,14 @@ class SqliteStore(ResultStore):
             status, result = self._classify(key, cache_version, payload)
             yield f"{self.location}[{key}]", status, result
 
+    def iter_rows(self):
+        """Yield every loadable row, sorted by config hash."""
+        for _origin, status, result in self.iter_classified():
+            if status == "ok":
+                yield result
+
     def iter_report_rows(self):
+        """Yield every loadable row in report order: ``(label, key)``."""
         cursor = self._db.execute(
             f"SELECT key, cache_version, payload {self._LATEST} "
             "ORDER BY label, key"
@@ -445,6 +284,7 @@ class SqliteStore(ResultStore):
                 yield result
 
     def counts(self) -> StoreCounts:
+        """Classified entry counts (one streaming pass)."""
         ok = stale = invalid = 0
         cursor = self._db.execute(
             f"SELECT key, cache_version, payload {self._LATEST}"
@@ -460,6 +300,8 @@ class SqliteStore(ResultStore):
         return StoreCounts(ok=ok, stale=stale, invalid=invalid)
 
     def any_replicated(self) -> bool:
+        """Whether any loadable row was swept with ``--replicates``>1
+        (selects the widened default report column set)."""
         row = self._db.execute(
             f"SELECT 1 {self._LATEST} AND cache_version = ? "
             "AND replicates > 1 LIMIT 1",
@@ -468,6 +310,7 @@ class SqliteStore(ResultStore):
         return row is not None
 
     def runs(self) -> tuple[RunRecord, ...]:
+        """Recorded write sessions, oldest first."""
         cursor = self._db.execute(
             "SELECT run_id, created_utc, rows FROM runs ORDER BY run_id"
         )
@@ -477,6 +320,11 @@ class SqliteStore(ResultStore):
         )
 
     def iter_versions(self):
+        """Yield every stored version for trend analytics.
+
+        ``(key, label, version, run_id, CellResult | None)`` ordered
+        by ``(label, key, version)``.
+        """
         cursor = self._db.execute(
             "SELECT key, label, version, run_id, cache_version, payload "
             "FROM results ORDER BY label, key, version"
@@ -487,10 +335,20 @@ class SqliteStore(ResultStore):
                 result = self._parse(key, payload)
             yield key, label, version, run_id, result
 
+    def __len__(self) -> int:
+        return self.counts().ok
+
     def close(self) -> None:
+        """Release the database handle (idempotent)."""
         if self._db is not None:
             self._db.close()
             self._db = None
+
+    def __enter__(self) -> "SqliteStore":
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        self.close()
 
 
 def is_sqlite_file(path: str | Path) -> bool:
@@ -511,81 +369,91 @@ def is_sqlite_file(path: str | Path) -> bool:
     return path.stat().st_size == 0 and path.suffix in _SQLITE_SUFFIXES
 
 
-def store_kind_of(path: str | Path) -> str | None:
-    """The store kind *path* denotes, or ``None`` if it is neither.
-
-    An existing directory is ``json``; an existing SQLite file is
-    ``sqlite``; a missing path infers from its suffix (``.sqlite`` /
-    ``.sqlite3`` / ``.db`` → sqlite, anything else → json).  An
-    existing non-SQLite *file* returns ``None`` — that is a ``--json``
-    row dump or garbage, not a store.
-    """
-    path = Path(path)
-    if path.is_dir():
-        return "json"
-    if path.is_file():
-        return "sqlite" if is_sqlite_file(path) else None
-    return "sqlite" if path.suffix in _SQLITE_SUFFIXES else "json"
+def _legacy_directory(path: Path) -> ReproError:
+    """The refusal every store-only command gives a directory."""
+    return ReproError(
+        f"{path} is a directory, not a SQLite result store; a legacy "
+        "JSON cache directory is only read by `repro merge` and "
+        f"`repro migrate` — import it first: repro migrate {path} "
+        f"{path}.sqlite"
+    )
 
 
 def open_store(
     path: str | Path,
-    kind: str | None = None,
+    kind: str = "sqlite",
     create: bool = False,
     threadsafe: bool = False,
-) -> ResultStore:
-    """Open the result store at *path*, selecting the backend by
-    inspection.
+) -> SqliteStore:
+    """Open the SQLite result store at *path*.
 
     Parameters
     ----------
     path : str or Path
-        A cache directory (JSON store) or a SQLite database file.
-    kind : str, optional
-        Force a backend from :data:`STORES` instead of inferring it —
-        used by ``repro sweep --store`` and ``repro migrate --store``
-        for not-yet-existing destinations.  Contradicting an existing
-        path is an error, never a reinterpretation.
+        A SQLite database file (any name: the on-disk magic is what
+        identifies it).
+    kind : str
+        Must be ``"sqlite"``, the only store there is.
     create : bool
-        Allow *path* not to exist yet: a JSON store creates its
-        directory lazily on first put, a SQLite store initialises its
-        schema immediately.  With the default ``False`` a missing path
-        raises — readers must not conjure empty stores.
+        Allow *path* not to exist yet: a missing path becomes a fresh
+        SQLite store whatever its suffix, parent directories
+        included.  With the default ``False`` a missing path raises —
+        readers must not conjure empty stores.
     threadsafe : bool
         Allow the returned store to be used from threads other than
         the opening one, for callers that serialise access themselves
-        (the sweep service).  Only the SQLite backend behaves
-        differently (sqlite3's same-thread check is dropped).
+        (the sweep service).
 
     Raises
     ------
     ReproError
-        On an unknown *kind*, a contradiction between *kind* and what
-        exists at *path*, a missing path without *create*, or an
-        existing file that is not a SQLite database.
+        On any *kind* but ``"sqlite"``, a directory (a legacy JSON
+        cache: the message names ``repro migrate``), a missing path
+        without *create*, or an existing file that is not a SQLite
+        database.
     """
     path = Path(path)
-    if kind is not None and kind not in STORES:
-        raise ReproError(f"unknown store kind {kind!r}; choices: {STORES}")
-    inferred = store_kind_of(path)
-    if path.exists():
-        if inferred is None:
-            raise ReproError(
-                f"{path} is not a result store (expected a cache directory "
-                "or a SQLite .sqlite file)"
-            )
-        if kind is not None and kind != inferred:
-            raise ReproError(
-                f"{path} is a {inferred} store, but --store {kind} was "
-                "requested; pass a matching path or drop the flag"
-            )
-        kind = inferred
-    else:
-        if not create:
-            raise ReproError(f"result store {path} does not exist")
-        kind = kind or inferred
-    if kind == "sqlite":
-        return SqliteStore(
-            path, create=create or path.exists(), threadsafe=threadsafe
+    if kind != "sqlite":
+        raise ReproError(
+            f"unknown store kind {kind!r}; the only result store is 'sqlite'"
         )
-    return JsonDirStore(path, create=create and not path.is_dir())
+    if path.is_dir():
+        raise _legacy_directory(path)
+    if path.exists():
+        if not is_sqlite_file(path):
+            raise ReproError(
+                f"{path} exists but is not a result store (expected a "
+                "SQLite file written by repro sweep, merge or migrate)"
+            )
+    elif not create:
+        raise ReproError(f"result store {path} does not exist")
+    else:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    return SqliteStore(path, create=True, threadsafe=threadsafe)
+
+
+def open_source(path: str | Path, legacy: bool = False):
+    """Open *path* as a read-only, key-sorted row source.
+
+    The one reader ``repro diff`` and ``repro merge`` share: a SQLite
+    store, a ``repro sweep --json`` row dump, or — with *legacy*, for
+    merge and migrate only — a legacy JSON cache directory.  Every
+    source is a context manager with ``location``, an
+    ``iter_classified()`` stream of ``(origin, status, CellResult |
+    None)`` whose loadable rows arrive in config-hash order, and a
+    point read ``row(key)``.
+
+    Raises
+    ------
+    ReproError
+        On a directory without *legacy* (naming ``repro migrate``), or
+        a file that is neither a SQLite store nor a row dump.
+    """
+    path = Path(path)
+    if path.is_dir():
+        if not legacy:
+            raise _legacy_directory(path)
+        return LegacyDir(path)
+    if is_sqlite_file(path):
+        return open_store(path)
+    return RowDump(path)

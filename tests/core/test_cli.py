@@ -1,8 +1,17 @@
 """Tests for the CLI (driven in-process via cli.main)."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.exp.store import is_sqlite_file, open_store
+from tests.helpers import (
+    scale_metric,
+    store_keys,
+    tamper_store,
+    write_legacy_cache,
+)
 
 
 class TestParser:
@@ -168,8 +177,8 @@ class TestShardMergeReport:
         assert main(["sweep", *self.GRID,
                      "--cache", str(tmp_path / "merged")]) == 0
         assert "0 simulated, 2 from cache" in capsys.readouterr().out
-        # And --report renders from it, no simulation at all.
-        assert main(["sweep", "--report", "--cache", str(tmp_path / "merged"),
+        # And report renders from it, no simulation at all.
+        assert main(["report", "--cache", str(tmp_path / "merged"),
                      "--format", "md"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("| cell |")
@@ -177,20 +186,15 @@ class TestShardMergeReport:
 
     def test_report_requires_cache(self):
         with pytest.raises(SystemExit):
-            main(["sweep", "--report"])
+            main(["report"])
 
     def test_report_warns_about_skipped_entries_on_stderr(self, capsys,
                                                           tmp_path):
-        import json
-
         cache = tmp_path / "cache"
         assert main(["sweep", *self.GRID, "--cache", str(cache)]) == 0
-        entry = next(cache.glob("*.json"))
-        payload = json.loads(entry.read_text(encoding="utf-8"))
-        payload["version"] = 999  # a stale-version entry
-        entry.write_text(json.dumps(payload), encoding="utf-8")
+        tamper_store(cache, store_keys(cache)[0], version=999)  # stale
         capsys.readouterr()
-        assert main(["sweep", "--report", "--cache", str(cache)]) == 0
+        assert main(["report", "--cache", str(cache)]) == 0
         captured = capsys.readouterr()
         # The warning goes to stderr; stdout stays the pure report.
         assert "skipped 1 stale/invalid cache entry" in captured.err
@@ -201,7 +205,7 @@ class TestShardMergeReport:
         assert main(["sweep", *self.GRID,
                      "--cache", str(tmp_path / "cache")]) == 0
         capsys.readouterr()
-        assert main(["sweep", "--report", "--cache", str(tmp_path / "cache"),
+        assert main(["report", "--cache", str(tmp_path / "cache"),
                      "--group-by", "policy", "--format", "ascii"]) == 0
         out = capsys.readouterr().out
         assert "== policy=fifo ==" in out
@@ -209,7 +213,7 @@ class TestShardMergeReport:
 
     def test_report_rejects_unknown_axis(self, tmp_path):
         with pytest.raises(SystemExit):
-            main(["sweep", "--report", "--cache", str(tmp_path),
+            main(["report", "--cache", str(tmp_path / "cache"),
                   "--group-by", "colour"])
 
     def test_report_only_flags_rejected_without_report(self):
@@ -233,25 +237,25 @@ class TestShardMergeReport:
             main(["sweep", "--preset", "contention", "--app", "adpcm"])
 
     def test_report_rejects_grid_selection_flags(self, capsys, tmp_path):
-        # Axis flags have no effect under --report; silently reporting
-        # the whole cache under an "--app adpcm" heading would mislead.
+        # Axis flags have no effect on a report; silently reporting
+        # the whole store under an "--app adpcm" heading would mislead.
         assert main(["sweep", *self.GRID,
                      "--cache", str(tmp_path / "cache")]) == 0
         with pytest.raises(SystemExit):
-            main(["sweep", "--report", "--cache", str(tmp_path / "cache"),
+            main(["report", "--cache", str(tmp_path / "cache"),
                   "--app", "idea"])
         with pytest.raises(SystemExit):
-            main(["sweep", "--report", "--cache", str(tmp_path / "cache"),
+            main(["report", "--cache", str(tmp_path / "cache"),
                   "--shard", "1/2"])
         # A grid flag explicitly spelled with its default value is just
         # as misleading ("adpcm results") and must be caught too.
         with pytest.raises(SystemExit):
-            main(["sweep", "--report", "--cache", str(tmp_path / "cache"),
+            main(["report", "--cache", str(tmp_path / "cache"),
                   "--app", "adpcm"])
-        # And prefix abbreviations must not slip past the guard:
-        # allow_abbrev is off, so --ap is rejected by argparse itself.
+        # And prefix abbreviations must not slip through: allow_abbrev
+        # is off, so --ap is rejected by argparse itself.
         with pytest.raises(SystemExit):
-            main(["sweep", "--report", "--cache", str(tmp_path / "cache"),
+            main(["report", "--cache", str(tmp_path / "cache"),
                   "--ap", "adpcm"])
 
     def test_json_overwrite_refused_before_simulating(self, tmp_path,
@@ -269,42 +273,30 @@ class TestShardMergeReport:
             main(["sweep", "--app", "vadd", "--kb", "1", "--json", str(path)])
 
     def test_merge_conflict_exits_nonzero(self, capsys, tmp_path):
-        import json
-
         assert main(["sweep", *self.GRID,
                      "--cache", str(tmp_path / "a")]) == 0
         assert main(["sweep", *self.GRID,
                      "--cache", str(tmp_path / "b")]) == 0
-        entry = next((tmp_path / "b").glob("*.json"))
-        payload = json.loads(entry.read_text(encoding="utf-8"))
-        payload["result"]["vim_ms"] += 1.0
-        entry.write_text(json.dumps(payload), encoding="utf-8")
+        TestDiffCLI._worsen(tmp_path / "b")
         with pytest.raises(SystemExit):
             main(["merge", str(tmp_path / "merged"),
                   str(tmp_path / "a"), str(tmp_path / "b")])
 
     def test_report_baseline_annotates_cells(self, capsys, tmp_path):
-        import json
-
         assert main(["sweep", *self.GRID,
                      "--cache", str(tmp_path / "base")]) == 0
         assert main(["sweep", *self.GRID,
                      "--cache", str(tmp_path / "cur")]) == 0
-        entry = next((tmp_path / "cur").glob("*.json"))
-        payload = json.loads(entry.read_text(encoding="utf-8"))
-        payload["result"]["vim_ms"] *= 2.0
-        entry.write_text(
-            json.dumps(payload, sort_keys=True, indent=1), encoding="utf-8"
-        )
+        TestDiffCLI._worsen(tmp_path / "cur", factor=2.0)
         capsys.readouterr()
-        assert main(["sweep", "--report", "--cache", str(tmp_path / "cur"),
+        assert main(["report", "--cache", str(tmp_path / "cur"),
                      "--baseline", str(tmp_path / "base")]) == 0
         out = capsys.readouterr().out
         assert "+100.0%)" in out   # the doubled cell
         assert "(=)" in out        # the untouched cells
 
     def test_baseline_rejected_without_report(self, tmp_path):
-        # --baseline shapes --report output only; a sweep run that
+        # --baseline shapes report output only; a sweep run that
         # silently ignored it would mislead like --group-by would.
         with pytest.raises(SystemExit):
             main(["sweep", *self.GRID, "--baseline", str(tmp_path)])
@@ -321,12 +313,7 @@ class TestDiffCLI:
 
     @staticmethod
     def _worsen(cache, factor=1.5):
-        import json
-
-        entry = sorted(cache.glob("*.json"))[0]
-        payload = json.loads(entry.read_text(encoding="utf-8"))
-        payload["result"]["vim_ms"] *= factor
-        entry.write_text(json.dumps(payload), encoding="utf-8")
+        scale_metric(cache, store_keys(cache)[0], factor=factor)
 
     def test_identical_caches_all_zero_table_exit_0(self, capsys, tmp_path):
         a, b = self._two_caches(tmp_path)
@@ -376,7 +363,7 @@ class TestDiffCLI:
 
 
 class TestStoreCli:
-    """The store-layer CLI surface: --store, migrate, history, dry-run."""
+    """The store-layer CLI surface: migrate, history, dry-run."""
 
     GRID = ["--app", "vadd", "--kb", "1", "--policy", "fifo", "lru"]
 
@@ -387,53 +374,84 @@ class TestStoreCli:
         assert main(["sweep", *self.GRID, "--cache", str(store)]) == 0
         assert "0 simulated, 2 from cache" in capsys.readouterr().out
 
-    def test_store_flag_forces_backend(self, capsys, tmp_path):
+    def test_cache_path_without_suffix_is_sqlite(self, capsys, tmp_path):
         store = tmp_path / "oddly-named"
-        assert main(["sweep", *self.GRID, "--cache", str(store),
-                     "--store", "sqlite"]) == 0
-        assert store.is_file()  # sqlite file despite the dir-like name
-
-    def test_store_flag_requires_cache(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["sweep", *self.GRID, "--store", "sqlite"])
-        assert excinfo.value.code == 2
-        assert "pass --cache" in capsys.readouterr().err
-
-    def test_store_flag_rejected_under_report(self, capsys, tmp_path):
-        store = tmp_path / "results.sqlite"
         assert main(["sweep", *self.GRID, "--cache", str(store)]) == 0
-        with pytest.raises(SystemExit):
-            main(["sweep", "--report", "--cache", str(store),
-                  "--store", "sqlite"])
+        assert is_sqlite_file(store)  # a SQLite file, whatever the name
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--report", "--cache", "x.sqlite"],
+        ["sweep", "--app", "vadd", "--format", "md"],
+        ["sweep", "--app", "vadd", "--group-by", "policy"],
+        ["sweep", "--app", "vadd", "--baseline", "x.sqlite"],
+    ], ids=["sweep-report", "sweep-format", "sweep-group-by",
+            "sweep-baseline"])
+    def test_removed_flags_rejected(self, capsys, argv):
+        # One report command: the `sweep --report` alias and its
+        # report-shaping flags are gone, and argparse says so.
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_report_byte_identical_across_backends(self, capsys, tmp_path):
-        json_cache = tmp_path / "cache"
+        # A legacy JSON cache imported by `repro migrate` reports the
+        # same bytes as a store the sweep wrote directly.
+        from repro.exp import run_sweep
+        from repro.exp.spec import SweepSpec
+
+        rows = run_sweep(SweepSpec(
+            apps=("vadd",), input_bytes=(1024,), policies=("fifo", "lru"),
+        )).rows
+        json_cache = write_legacy_cache(tmp_path / "cache", rows)
         sqlite_store = tmp_path / "results.sqlite"
-        assert main(["sweep", *self.GRID, "--cache", str(json_cache)]) == 0
+        direct = tmp_path / "direct.sqlite"
+        assert main(["sweep", *self.GRID, "--cache", str(direct)]) == 0
         capsys.readouterr()
         assert main(["migrate", str(json_cache), str(sqlite_store)]) == 0
         assert "2 written" in capsys.readouterr().out
         for fmt in ("md", "ascii", "csv"):
             outputs = []
-            for path in (json_cache, sqlite_store):
-                assert main(["sweep", "--report", "--cache", str(path),
+            for path in (direct, sqlite_store):
+                assert main(["report", "--cache", str(path),
                              "--format", fmt]) == 0
                 outputs.append(capsys.readouterr().out)
             assert outputs[0] == outputs[1]
 
-    def test_migrate_round_trip_restores_files(self, capsys, tmp_path):
-        json_cache = tmp_path / "cache"
-        assert main(["sweep", *self.GRID, "--cache", str(json_cache)]) == 0
+    def test_migrate_imports_legacy_cache(self, capsys, tmp_path):
+        from repro.exp import run_sweep
+        from repro.exp.spec import SweepSpec
+
+        rows = run_sweep(SweepSpec(
+            apps=("vadd",), input_bytes=(1024,), policies=("fifo", "lru"),
+        )).rows
+        json_cache = write_legacy_cache(tmp_path / "cache", rows)
         assert main(["migrate", str(json_cache),
                      str(tmp_path / "hop.sqlite")]) == 0
-        assert main(["migrate", str(tmp_path / "hop.sqlite"),
-                     str(tmp_path / "back")]) == 0
-        original = {p.name: p.read_bytes() for p in json_cache.glob("*.json")}
-        restored = {
-            p.name: p.read_bytes()
-            for p in (tmp_path / "back").glob("*.json")
-        }
-        assert original == restored
+        capsys.readouterr()
+        assert main(["sweep", *self.GRID,
+                     "--cache", str(tmp_path / "hop.sqlite")]) == 0
+        assert "0 simulated, 2 from cache" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["report", "history"])
+    def test_non_store_file_is_not_reported_missing(
+        self, capsys, tmp_path, command
+    ):
+        # Regression: an existing file that is not a store used to be
+        # reported as a missing cache directory / store.
+        notes = tmp_path / "notes.txt"
+        notes.write_text("not a store\n", encoding="utf-8")
+        argv = (
+            ["report", "--cache", str(notes)] if command == "report"
+            else ["history", "vim_ms", str(notes)]
+        )
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{notes} exists but is not a result store" in err
+        assert "does not exist" not in err
+        assert "Traceback" not in err
 
     def test_merge_dry_run_writes_nothing(self, capsys, tmp_path):
         source = tmp_path / "cache"
@@ -473,19 +491,26 @@ class TestStoreCli:
         assert "vadd-1KB" not in out  # aggregated, not per-cell
 
     def test_diff_streams_sqlite_same_as_json(self, capsys, tmp_path):
-        json_a = tmp_path / "a"
-        json_b = tmp_path / "b"
-        for name in (json_a, json_b):
-            assert main(["sweep", *self.GRID, "--cache", str(name)]) == 0
-        assert main(["migrate", str(json_a),
-                     str(tmp_path / "a.sqlite")]) == 0
-        assert main(["migrate", str(json_b),
-                     str(tmp_path / "b.sqlite")]) == 0
+        # The same runs diffed as SQLite stores and as --json dumps
+        # render the same bytes.
+        for name in ("a", "b"):
+            assert main(["sweep", *self.GRID,
+                         "--cache", str(tmp_path / f"{name}.sqlite"),
+                         "--json", str(tmp_path / f"{name}.json")]) == 0
+        TestDiffCLI._worsen(tmp_path / "b.sqlite")
+        dump = json.loads((tmp_path / "b.json").read_text(encoding="utf-8"))
+        with open_store(tmp_path / "b.sqlite") as store:
+            worse = {row.key: row.to_dict() for row in store.iter_rows()}
+        (tmp_path / "b.json").write_text(
+            json.dumps([worse[row["key"]] for row in dump]), encoding="utf-8"
+        )
         capsys.readouterr()
-        assert main(["diff", str(json_a), str(json_b)]) == 0
+        assert main(["diff", str(tmp_path / "a.json"),
+                     str(tmp_path / "b.json")]) == 1
         from_json = capsys.readouterr().out
+        assert "REGRESSION" in from_json
         assert main(["diff", str(tmp_path / "a.sqlite"),
-                     str(tmp_path / "b.sqlite")]) == 0
+                     str(tmp_path / "b.sqlite")]) == 1
         assert capsys.readouterr().out == from_json
 
     def test_history_renders_per_run_series(self, capsys, tmp_path):
@@ -511,8 +536,13 @@ class TestStoreCli:
         assert "vadd-1KB  " not in out  # the fifo cell is filtered out
 
     def test_history_on_json_cache_points_at_migrate(self, capsys, tmp_path):
-        cache = tmp_path / "cache"
-        assert main(["sweep", *self.GRID, "--cache", str(cache)]) == 0
+        from repro.exp import run_sweep
+        from repro.exp.spec import SweepSpec
+
+        cache = write_legacy_cache(
+            tmp_path / "cache",
+            run_sweep(SweepSpec(apps=("vadd",), input_bytes=(1024,))).rows,
+        )
         with pytest.raises(SystemExit) as excinfo:
             main(["history", "vim_ms", str(cache)])
         assert excinfo.value.code == 2

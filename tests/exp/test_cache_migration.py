@@ -4,8 +4,9 @@ A version bump (v4 → v5 added the replication summary columns and the
 synthetic-pattern fields) must degrade *loudly and legibly*: old
 entries classify as ``"stale-version"`` — recognisably "re-run me",
 never "corrupt" — and a merge fed nothing but stale entries fails with
-an explicit error instead of writing an empty cache that a later
-report would misdiagnose.
+an explicit error instead of writing an empty store that a later
+report would misdiagnose.  The same classification decides what
+``repro migrate`` imports from a legacy JSON cache directory.
 """
 
 import json
@@ -18,6 +19,8 @@ from repro.exp import run_sweep
 from repro.exp.cache import iter_classified
 from repro.exp.merge import merge_into
 from repro.exp.spec import CACHE_VERSION, SweepSpec
+from repro.exp.store import open_store
+from tests.helpers import write_legacy_cache
 
 #: The previous on-disk schema version, as real pre-bump caches have.
 OLD_VERSION = CACHE_VERSION - 1
@@ -31,12 +34,15 @@ def _entry_paths(root):
     return sorted(root.glob("*.json"))
 
 
+def _legacy_cache(root):
+    """A legacy cache directory holding one real current-version entry."""
+    return write_legacy_cache(root, run_sweep(SPEC).rows)
+
+
 @pytest.fixture()
 def current_cache(tmp_path):
     """A real cache directory holding one current-version entry."""
-    cache_dir = tmp_path / "current"
-    run_sweep(SPEC, cache_dir=cache_dir)
-    return cache_dir
+    return _legacy_cache(tmp_path / "current")
 
 
 def _downgrade(path) -> None:
@@ -104,15 +110,77 @@ class TestMergeDegradesLoudly:
     def test_mixed_merge_skips_stale_and_reports_it(
         self, current_cache, tmp_path
     ):
-        stale_dir = tmp_path / "stale"
-        run_sweep(SPEC, cache_dir=stale_dir)
+        stale_dir = _legacy_cache(tmp_path / "stale")
         _downgrade(_entry_paths(stale_dir)[0])
         summary = merge_into(
             tmp_path / "merged", [current_cache, stale_dir]
         )
         assert summary.written == 1
         assert summary.skipped == 1
-        # The merged cache holds exactly the current-version entry.
-        [(_, status, result)] = iter_classified(tmp_path / "merged")
+        # The merged store holds exactly the current-version entry.
+        with open_store(tmp_path / "merged") as store:
+            [(_, status, result)] = store.iter_classified()
         assert status == "ok"
         assert result is not None
+
+
+class TestLegacyImport:
+    """``repro migrate DIR NEW.sqlite`` imports a legacy JSON cache."""
+
+    def _mixed_cache(self, tmp_path):
+        """One ok, one stale-version and one invalid entry."""
+        cache = _legacy_cache(tmp_path / "legacy")
+        stale = _legacy_cache(tmp_path / "stale-src")
+        _downgrade(_entry_paths(stale)[0])
+        stale_entry = _entry_paths(stale)[0]
+        stale_entry.rename(cache / "fedcba9876543210.json")
+        (cache / "0123456789abcdef.json").write_text("][", encoding="utf-8")
+        return cache
+
+    def test_counts_match_the_directory_classification(
+        self, tmp_path, capsys
+    ):
+        cache = self._mixed_cache(tmp_path)
+        statuses = sorted(status for _p, status, _r in iter_classified(cache))
+        assert statuses == ["invalid", "ok", "stale-version"]
+        dest = tmp_path / "imported.sqlite"
+        assert main(["migrate", str(cache), str(dest)]) == 0
+        assert capsys.readouterr().out == (
+            f"merged 1 source(s) into {dest}: 1 written, 0 identical, "
+            "2 skipped\n"
+        )
+        with open_store(dest) as store:
+            counts = store.counts()
+        assert (counts.ok, counts.stale, counts.invalid) == (1, 0, 0)
+
+    def test_imported_store_reports_like_a_sweep(self, tmp_path, capsys):
+        cache = self._mixed_cache(tmp_path)
+        dest = tmp_path / "imported.sqlite"
+        assert main(["migrate", str(cache), str(dest)]) == 0
+        direct = tmp_path / "direct.sqlite"
+        run_sweep(SPEC, cache_dir=direct)
+        capsys.readouterr()
+        for fmt in ("md", "csv", "ascii"):
+            outputs = []
+            for path in (dest, direct):
+                assert main(["report", "--cache", str(path),
+                             "--format", fmt]) == 0
+                outputs.append(capsys.readouterr().out)
+            assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("command", [
+        ["report", "--cache", "{dir}"],
+        ["history", "vim_ms", "{dir}"],
+        ["diff", "{dir}", "{dir}"],
+        ["sweep", "--app", "vadd", "--kb", "1", "--cache", "{dir}"],
+    ], ids=lambda command: command[0])
+    def test_other_commands_refuse_the_directory(
+        self, current_cache, command, capsys
+    ):
+        argv = [arg.format(dir=current_cache) for arg in command]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"repro migrate {current_cache} {current_cache}.sqlite" in err
+        assert "Traceback" not in err

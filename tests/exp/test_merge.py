@@ -1,10 +1,12 @@
-"""Tests for merging shard caches (``repro.exp.merge``).
+"""Tests for merging shard stores (``repro.exp.merge``).
 
-The merge is what turns N per-machine shard caches back into the one
-durable result store: merged files must be byte-identical to an
-unsharded run's cache (so re-runs simulate nothing and reports
-byte-match), and two sources disagreeing about one config hash must
-fail loudly instead of silently picking a winner.
+The merge is what turns N per-machine shard stores back into the one
+durable result store: merged rows must be identical to an unsharded
+run's store (so re-runs simulate nothing and reports byte-match), and
+two sources disagreeing about one config hash must fail loudly instead
+of silently picking a winner.  The shards here are legacy JSON cache
+directories — the one format whose entries a test can hand-edit — so
+these tests also pin what ``repro migrate`` accepts and skips.
 """
 
 import json
@@ -15,28 +17,30 @@ from repro.errors import ReproError
 from repro.exp import run_sweep
 from repro.exp.merge import merge_into
 from repro.exp.spec import CACHE_VERSION, SweepSpec, shard_cells
+from repro.exp.store import open_store
+from tests.helpers import write_legacy_cache
 
 #: A fast 2-cell grid (1 KB vector-add, two policies).
 GRID = SweepSpec(apps=("vadd",), input_bytes=(1024,), policies=("fifo", "lru"))
 
 
-def _files(directory) -> dict:
-    return {
-        path.name: path.read_bytes()
-        for path in sorted(directory.glob("*.json"))
-    }
+def _files(path) -> list:
+    """Every stored row's payload, in key order."""
+    with open_store(path) as store:
+        return [row.to_dict() for row in store.iter_rows()]
 
 
 @pytest.fixture()
 def shard_caches(tmp_path):
-    """Two shard caches plus the unsharded reference cache."""
+    """Two legacy shard caches plus the unsharded reference store."""
     cells = GRID.expand()
+    rows = run_sweep(GRID, cache_dir=tmp_path / "full").rows
+    by_key = {row.key: row for row in rows}
     for index in (1, 2):
-        run_sweep(
-            shard_cells(cells, index, 2),
-            cache_dir=tmp_path / f"shard{index}",
+        write_legacy_cache(
+            tmp_path / f"shard{index}",
+            [by_key[cell.key()] for cell in shard_cells(cells, index, 2)],
         )
-    run_sweep(GRID, cache_dir=tmp_path / "full")
     return tmp_path
 
 
@@ -96,7 +100,7 @@ class TestMerge:
         )
         assert summary.written == 2
         assert summary.identical == 2
-        # First-seen provenance wins in the merged files.
+        # First-seen provenance wins in the merged store.
         assert _files(tmp_path / "merged") == _files(tmp_path / "ref")
 
     def test_rows_json_dump_is_a_valid_source(self, shard_caches, tmp_path):
@@ -130,7 +134,7 @@ class TestConflicts:
                     shard_caches / "shard2",
                 ],
             )
-        assert not dest.exists()  # not even an empty directory appears
+        assert not dest.exists()  # not even an empty store appears
 
     def test_conflicting_entry_for_same_hash_rejected(self, shard_caches):
         # Tamper one shard entry: same config hash, different numbers.
@@ -222,8 +226,8 @@ class TestDegradation:
         assert summary.skipped == 1
 
     def test_renamed_cache_entry_skipped(self, shard_caches):
-        # Same rule as the report loader: a dir entry must be named by
-        # its config hash; a hand-renamed file is skipped, not re-keyed.
+        # A legacy entry must be named by its config hash; a
+        # hand-renamed file is skipped, not re-keyed.
         entry = next((shard_caches / "shard1").glob("*.json"))
         entry.rename(entry.with_name("0000000000000000.json"))
         summary = merge_into(
@@ -261,11 +265,14 @@ class TestDegradation:
 
     def test_file_destination_rejected(self, shard_caches, tmp_path):
         # Swapping DEST with a dump source must be a clean error, not
-        # a FileExistsError traceback from mkdir.
+        # a traceback from sqlite.
         dump = tmp_path / "rows.json"
         dump.write_text("[]", encoding="utf-8")
-        with pytest.raises(ReproError, match="not a directory"):
+        with pytest.raises(ReproError, match="not a SQLite store"):
             merge_into(dump, [shard_caches / "shard1"])
+        # A directory destination is a legacy cache: import it instead.
+        with pytest.raises(ReproError, match="repro migrate"):
+            merge_into(shard_caches / "shard2", [shard_caches / "shard1"])
 
 
 class TestDryRun:

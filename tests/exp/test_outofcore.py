@@ -1,7 +1,8 @@
 """Out-of-core guarantees of the store consumers (merge/diff/report).
 
 The streaming rewrites only count if they actually stream: a ~5k-row
-SQLite fixture goes through every consumer under two tripwires —
+SQLite fixture (a 600-row grid for the seed-blind ``cv`` diff) goes
+through every consumer under two tripwires —
 
 * a **live-row tripwire**: every :class:`CellResult` parsed out of the
   store is tracked by weakref, and at checkpoints during the pass the
@@ -20,12 +21,13 @@ import gc
 import io
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import pytest
 
 import repro.exp.store as store_module
 from repro.exp.diff import diff_stores
-from repro.exp.merge import merge_into, migrate_store
+from repro.exp.merge import merge_into
 from repro.exp.report import stream_report
 from repro.exp.results import CellResult
 from repro.exp.spec import SweepSpec
@@ -153,8 +155,6 @@ class TestOutOfCore:
         other = tmp_path / "other.sqlite"
         _populate(other, _grid(ROWS).expand())
         with open_store(other) as store:
-            from dataclasses import replace
-
             for config in _grid(10).expand():
                 row = _fake_result(config)
                 store.put(replace(row, vim_ms=row.vim_ms * 2.0))
@@ -192,13 +192,29 @@ class TestOutOfCore:
         with open_store(dest) as merged:
             assert len(merged) == 5500
 
-    def test_migrate_to_json_streams(self, big_store, tmp_path, live_rows):
-        dest = tmp_path / "json-cache"
+    def test_cv_diff_streams(self, tmp_path, live_rows):
+        # --bands cv aligns seed-blind, so it needs cells that differ
+        # by more than the seed (big_store's rows differ only by seed):
+        # two disjoint seed sets over one non-seed grid, replicated.
+        grid = SweepSpec(
+            apps=("synthetic",),
+            input_bytes=(1024,),
+            syn_strides=tuple(range(1, 11)),
+            syn_locality_pcts=tuple(range(0, 100, 5)),
+            syn_read_pcts=(40, 60, 80),
+            replicates=2,
+        )
+        base = tmp_path / "base.sqlite"
+        current = tmp_path / "current.sqlite"
+        _populate(base, grid.expand())
+        _populate(current, [replace(c, seed=2) for c in grid.expand()])
+        cells = len(grid.expand())
         tracemalloc.start()
-        summary = migrate_store(big_store, dest)
+        result = diff_stores(base, current, bands="cv")
         _current, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         live_rows.checkpoint()
-        assert summary.written == ROWS
-        assert peak < MAX_TRACED_PEAK
-        assert len(list(dest.glob("*.json"))) == ROWS
+        assert live_rows.parsed >= 2 * cells
+        assert len(result.cells) == cells
+        assert result.fingerprints()[0] == result.fingerprints()[1]
+        assert peak < MAX_DIFF_TRACED_PEAK

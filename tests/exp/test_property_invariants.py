@@ -24,6 +24,7 @@ import pytest
 from repro.exp import run_sweep
 from repro.exp.merge import merge_into
 from repro.exp.spec import SweepSpec, config_hash, shard_cells
+from repro.exp.store import open_store
 
 #: Number of random specs the pure (no-simulation) invariants cover.
 SPEC_COUNT = 50
@@ -133,11 +134,10 @@ def _tiny_run_specs(count: int) -> list[SweepSpec]:
     return specs
 
 
-def _files(directory) -> dict:
-    return {
-        path.name: path.read_bytes()
-        for path in sorted(directory.glob("*.json"))
-    }
+def _files(path) -> list:
+    """Every stored row's payload, in key order."""
+    with open_store(path) as store:
+        return [row.to_dict() for row in store.iter_rows()]
 
 
 @pytest.mark.parametrize(

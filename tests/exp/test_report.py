@@ -1,15 +1,16 @@
 """Tests for cache-driven reporting (``repro.exp.report``).
 
-Golden-output tests render the committed fixture cache
-(``tests/exp/fixtures/report_cache``, written by
-``tools/make_report_fixture.py``) and compare byte-for-byte against
-the committed golden files — if ``CACHE_VERSION`` is ever bumped, the
-fixture goes stale and these tests fail until the regeneration script
-is re-run (one command; see the tool's docstring).
+Golden-output tests import the committed fixture rows
+(``tests/exp/fixtures/report_rows.json``, written by
+``tools/make_report_fixture.py``) into a SQLite store and compare the
+rendered tables byte-for-byte against the committed golden files — if
+``CACHE_VERSION`` is ever bumped, the fixture goes stale and these
+tests fail until the regeneration script is re-run (one command; see
+the tool's docstring).
 
-The end-to-end class asserts the PR's acceptance criterion: a report
-rendered from two merged shard caches is byte-identical to the report
-of a single unsharded run.
+The end-to-end class asserts that a report rendered from two merged
+shard stores is byte-identical to the report of a single unsharded
+run.
 """
 
 import json
@@ -28,7 +29,9 @@ from repro.exp.report import (
     render_table,
     report_from_cache,
 )
+from repro.exp.merge import migrate_store
 from repro.exp.spec import CACHE_VERSION, SweepSpec, shard_cells
+from tests.helpers import put_rows, store_keys, tamper_store
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -37,41 +40,59 @@ def _golden(name: str) -> str:
     return (FIXTURES / name).read_text(encoding="utf-8").rstrip("\n")
 
 
+def _fixture_store(path, name="report_rows"):
+    """A SQLite store imported from one committed fixture dump."""
+    migrate_store(FIXTURES / f"{name}.json", path)
+    return path
+
+
+@pytest.fixture(scope="module")
+def report_cache(tmp_path_factory):
+    return _fixture_store(tmp_path_factory.mktemp("report") / "report.sqlite")
+
+
+@pytest.fixture(scope="module")
+def baseline_cache(tmp_path_factory):
+    return _fixture_store(
+        tmp_path_factory.mktemp("baseline") / "baseline.sqlite",
+        "baseline_rows",
+    )
+
+
 class TestGoldenOutputs:
     @pytest.mark.parametrize("fmt", FORMATS)
-    def test_flat_report_matches_golden(self, fmt):
-        text = report_from_cache(FIXTURES / "report_cache", fmt=fmt)
+    def test_flat_report_matches_golden(self, fmt, report_cache):
+        text = report_from_cache(report_cache, fmt=fmt)
         assert text == _golden(f"report.{fmt}")
 
     @pytest.mark.parametrize("fmt", ["md", "csv"])
-    def test_grouped_report_matches_golden(self, fmt):
-        text = report_from_cache(
-            FIXTURES / "report_cache", group_by=("policy",), fmt=fmt
-        )
+    def test_grouped_report_matches_golden(self, fmt, report_cache):
+        text = report_from_cache(report_cache, group_by=("policy",), fmt=fmt)
         assert text == _golden(f"report_by_policy.{fmt}")
 
-    def test_rendering_order_is_canonical(self):
-        rows = list(load_cache_rows(FIXTURES / "report_cache").rows)
+    def test_rendering_order_is_canonical(self, report_cache):
+        rows = list(load_cache_rows(report_cache).rows)
         shuffled = rows[:]
         random.Random(7).shuffle(shuffled)
         assert render_report(shuffled) == render_report(rows)
 
-    def test_baseline_annotated_report_matches_golden(self):
-        text = report_from_cache(
-            FIXTURES / "report_cache",
-            baseline_dir=FIXTURES / "baseline_cache",
-        )
+    def test_baseline_annotated_report_matches_golden(
+        self, report_cache, baseline_cache
+    ):
+        text = report_from_cache(report_cache, baseline_dir=baseline_cache)
         assert text == _golden("report_vs_baseline.md")
 
-    def test_no_baseline_is_byte_identical_to_pre_feature_output(self):
+    def test_no_baseline_is_byte_identical_to_pre_feature_output(
+        self, report_cache
+    ):
         # baseline=None must not perturb the historical golden bytes.
-        assert report_from_cache(FIXTURES / "report_cache", fmt="md") == \
+        assert report_from_cache(report_cache, fmt="md") == \
             _golden("report.md")
 
 
 class TestCacheLoading:
-    def test_rows_sorted_by_label_then_key(self):
-        loaded = load_cache_rows(FIXTURES / "report_cache")
+    def test_rows_sorted_by_label_then_key(self, report_cache):
+        loaded = load_cache_rows(report_cache)
         order = [(r.label, r.key) for r in loaded.rows]
         assert order == sorted(order)
         assert loaded.skipped == 0
@@ -81,64 +102,52 @@ class TestCacheLoading:
             load_cache_rows(tmp_path / "absent")
 
     def test_empty_directory_rejected(self, tmp_path):
-        (tmp_path / "cache").mkdir()
         with pytest.raises(ReproError, match="no loadable"):
+            load_cache_rows(put_rows(tmp_path / "cache.sqlite", []))
+        # A directory is a legacy JSON cache: it has to be imported.
+        (tmp_path / "cache").mkdir()
+        with pytest.raises(ReproError, match="repro migrate"):
             load_cache_rows(tmp_path / "cache")
 
     def test_allow_empty_returns_no_rows(self, tmp_path):
         # The baseline loader's degradation path: an empty or all-stale
-        # directory means "nothing to compare", not a failed report.
-        (tmp_path / "cache").mkdir()
-        loaded = load_cache_rows(tmp_path / "cache", allow_empty=True)
+        # store means "nothing to compare", not a failed report.
+        cache = put_rows(tmp_path / "cache.sqlite", [])
+        loaded = load_cache_rows(cache, allow_empty=True)
         assert loaded.rows == () and loaded.skipped == 0
 
     def test_stale_and_corrupt_entries_skipped(self, tmp_path):
-        cache = tmp_path / "cache"
-        cache.mkdir()
-        for name, payload in _fixture_payloads():
-            (cache / name).write_text(json.dumps(payload), encoding="utf-8")
+        cache = _fixture_store(tmp_path / "cache.sqlite")
         good = load_cache_rows(cache)
         # Break one entry's version and another's JSON.
-        entries = sorted(cache.glob("*.json"))
-        stale = json.loads(entries[0].read_text(encoding="utf-8"))
-        stale["version"] = CACHE_VERSION + 1
-        entries[0].write_text(json.dumps(stale), encoding="utf-8")
-        entries[1].write_text("][", encoding="utf-8")
+        keys = store_keys(cache)
+        tamper_store(cache, keys[0], version=CACHE_VERSION + 1)
+        tamper_store(cache, keys[1], payload="][")
         degraded = load_cache_rows(cache)
         assert degraded.skipped == 2
         assert len(degraded.rows) == len(good.rows) - 2
 
     def test_strict_report_refuses_partial_cache(self, tmp_path):
-        # The library path must not render a partial cache as if it
+        # The library path must not render a partial store as if it
         # were the whole grid (the CLI passes strict=False and warns).
-        cache = tmp_path / "cache"
-        cache.mkdir()
-        for name, payload in _fixture_payloads():
-            (cache / name).write_text(json.dumps(payload), encoding="utf-8")
-        stale = sorted(cache.glob("*.json"))[0]
-        payload = json.loads(stale.read_text(encoding="utf-8"))
-        payload["version"] = CACHE_VERSION + 1
-        stale.write_text(json.dumps(payload), encoding="utf-8")
+        cache = _fixture_store(tmp_path / "cache.sqlite")
+        tamper_store(cache, store_keys(cache)[0], version=CACHE_VERSION + 1)
         with pytest.raises(ReproError, match="stale/invalid"):
             report_from_cache(cache)
         assert report_from_cache(cache, strict=False)  # subset renders
 
     def test_renamed_entry_fails_hash_check(self, tmp_path):
-        cache = tmp_path / "cache"
-        cache.mkdir()
-        payloads = _fixture_payloads()
-        for name, payload in payloads:
-            (cache / name).write_text(json.dumps(payload), encoding="utf-8")
-        first = sorted(cache.glob("*.json"))[0]
-        first.rename(cache / "0000000000000000.json")
+        # A payload stored under another row's key is skipped, never
+        # served under the wrong hash.
+        cache = _fixture_store(tmp_path / "cache.sqlite")
+        first, second = store_keys(cache)[:2]
+        rows = {row.key: row for row in load_cache_rows(cache).rows}
+        payload = json.dumps(
+            {"version": CACHE_VERSION, "result": rows[second].to_dict()},
+            sort_keys=True,
+        )
+        tamper_store(cache, first, payload=payload)
         assert load_cache_rows(cache).skipped == 1
-
-
-def _fixture_payloads():
-    return [
-        (path.name, json.loads(path.read_text(encoding="utf-8")))
-        for path in sorted((FIXTURES / "report_cache").glob("*.json"))
-    ]
 
 
 def _synthetic_row(config, index=0):
@@ -250,18 +259,18 @@ class TestGrouping:
 
 
 class TestValidation:
-    def test_unknown_format_rejected(self):
-        rows = load_cache_rows(FIXTURES / "report_cache").rows
+    def test_unknown_format_rejected(self, report_cache):
+        rows = load_cache_rows(report_cache).rows
         with pytest.raises(ReproError, match="format"):
             render_report(rows, fmt="pdf")
 
-    def test_unknown_group_axis_rejected(self):
-        rows = load_cache_rows(FIXTURES / "report_cache").rows
+    def test_unknown_group_axis_rejected(self, report_cache):
+        rows = load_cache_rows(report_cache).rows
         with pytest.raises(ReproError, match="axis"):
             render_report(rows, group_by=("colour",))
 
-    def test_unknown_column_rejected(self):
-        rows = load_cache_rows(FIXTURES / "report_cache").rows
+    def test_unknown_column_rejected(self, report_cache):
+        rows = load_cache_rows(report_cache).rows
         with pytest.raises(ReproError, match="column"):
             render_report(rows, columns=("cell", "warp_factor"))
 
@@ -269,8 +278,8 @@ class TestValidation:
         with pytest.raises(ReproError, match="format"):
             render_table(["a"], [[1]], fmt="html")
 
-    def test_csv_grouping_is_flat_with_leading_axes(self):
-        rows = load_cache_rows(FIXTURES / "report_cache").rows
+    def test_csv_grouping_is_flat_with_leading_axes(self, report_cache):
+        rows = load_cache_rows(report_cache).rows
         text = render_report(rows, group_by=("policy",), fmt="csv")
         lines = text.splitlines()
         assert lines[0].startswith("policy,")

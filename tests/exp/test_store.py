@@ -1,11 +1,11 @@
 """Tests for the result-store layer (``repro.exp.store``).
 
-The :class:`~repro.exp.store.ResultStore` protocol is the one contract
-between the sweep engine and everything that reads results back
-(merge, diff, report, history), so its invariants are pinned
-backend-parametrised: whatever holds for the JSON directory must hold
-for SQLite, and a store migrated across backends must reproduce
-byte-identical reports and the original files on the way back.
+:class:`~repro.exp.store.SqliteStore` is the one contract between the
+sweep engine and everything that reads results back (merge, diff,
+report, history).  Its invariants are pinned origin-parametrised:
+whatever holds for a store a sweep wrote must hold for one imported
+from a legacy JSON cache directory by ``repro migrate``, and the
+import must preserve every payload, report byte and fingerprint.
 """
 
 import json
@@ -16,40 +16,40 @@ import pytest
 
 from repro.errors import ReproError
 from repro.exp import run_sweep
-from repro.exp.cache import SweepCache
 from repro.exp.merge import migrate_store
 from repro.exp.report import report_from_cache
 from repro.exp.spec import CACHE_VERSION, SweepSpec, grid_fingerprint
-from repro.exp.store import (
-    STORES,
-    JsonDirStore,
-    SqliteStore,
-    is_sqlite_file,
-    open_store,
-    store_kind_of,
-)
+from repro.exp.store import SqliteStore, is_sqlite_file, open_store
+from tests.helpers import write_legacy_cache
 
 #: A fast 2-cell grid (1 KB vector-add, two policies).
 GRID = SweepSpec(apps=("vadd",), input_bytes=(1024,), policies=("fifo", "lru"))
 
 
-def _store_path(tmp_path, kind):
-    return tmp_path / ("store.sqlite" if kind == "sqlite" else "store")
+def _legacy_sweep(spec, root):
+    """Run *spec* uncached and write it as a legacy JSON cache."""
+    return write_legacy_cache(root, run_sweep(spec).rows)
 
 
-@pytest.fixture(params=STORES)
+@pytest.fixture(params=("json", "sqlite"))
 def populated(request, tmp_path):
-    """One store per backend holding the 2-cell GRID, plus its rows."""
-    path = _store_path(tmp_path, request.param)
-    result = run_sweep(GRID, cache_dir=path, store_kind=request.param)
-    return path, request.param, result.rows
+    """The 2-cell GRID in a SQLite store, plus its rows: written by a
+    sweep (``sqlite``) or imported from a legacy JSON cache directory
+    (``json``)."""
+    path = tmp_path / "store.sqlite"
+    if request.param == "json":
+        rows = run_sweep(GRID).rows
+        migrate_store(write_legacy_cache(tmp_path / "legacy", rows), path)
+    else:
+        rows = run_sweep(GRID, cache_dir=path).rows
+    return path, request.param, rows
 
 
 class TestProtocolConformance:
     def test_kind_and_len(self, populated):
-        path, kind, rows = populated
+        path, _origin, rows = populated
         with open_store(path) as store:
-            assert store.kind == kind
+            assert isinstance(store, SqliteStore)
             assert len(store) == len(rows) == 2
 
     def test_get_hits_modulo_engine(self, populated):
@@ -99,28 +99,29 @@ class TestProtocolConformance:
 class TestLenCountsOnlyLoadableRows:
     """Regression: ``len`` used to count every ``*.json`` file.
 
-    On the seed, ``SweepCache.__len__`` counted directory entries, so
-    a corrupt file or a stale-version row inflated the count past what
-    any consumer could actually load.  The store protocol pins the
-    corrected semantics on both backends.
+    The old JSON cache counted directory entries, so a corrupt file or
+    a stale-version row inflated the count past what any consumer
+    could actually load.  Importing such a directory skips both, and
+    the store counts only loadable rows.
     """
 
     def test_json_corrupt_and_stale_files_not_counted(self, tmp_path):
-        run_sweep(GRID, cache_dir=tmp_path)
-        (tmp_path / "0123456789abcdef.json").write_text("{not json")
+        legacy = _legacy_sweep(GRID, tmp_path / "legacy")
+        (legacy / "0123456789abcdef.json").write_text("{not json")
         stale_payload = {
             "version": CACHE_VERSION - 1,
             "result": {"anything": True},
         }
-        (tmp_path / "fedcba9876543210.json").write_text(
+        (legacy / "fedcba9876543210.json").write_text(
             json.dumps(stale_payload)
         )
-        assert len(SweepCache(tmp_path)) == 2  # the seed said 4
-        with open_store(tmp_path) as store:
+        summary = migrate_store(legacy, tmp_path / "store.sqlite")
+        assert (summary.written, summary.skipped) == (2, 2)
+        with open_store(tmp_path / "store.sqlite") as store:
             assert len(store) == 2
             counts = store.counts()
         assert counts.ok == 2
-        assert counts.skipped == 2
+        assert counts.skipped == 0
 
     def test_sqlite_stale_versions_not_counted(self, tmp_path):
         path = tmp_path / "store.sqlite"
@@ -204,57 +205,65 @@ class TestSqliteVersioning:
             assert by_key[row.key] == (row.vim_ms, row.page_faults)
 
     def test_json_store_has_no_history(self, tmp_path):
-        run_sweep(GRID, cache_dir=tmp_path)
-        with open_store(tmp_path) as store:
-            assert store.runs() == ()
-            with pytest.raises(ReproError, match="repro migrate"):
-                list(store.iter_versions())
+        # A legacy JSON cache keeps no run history, and history reads
+        # only SQLite: opening the directory points at the import.
+        legacy = _legacy_sweep(GRID, tmp_path / "cache")
+        with pytest.raises(ReproError, match="repro migrate"):
+            open_store(legacy)
 
 
 class TestOpenStore:
     def test_detects_existing_backends(self, tmp_path):
-        sqlite_path = tmp_path / "odd-name"  # magic beats the suffix
-        run_sweep(GRID, cache_dir=sqlite_path, store_kind="sqlite")
-        json_path = tmp_path / "cache"
-        run_sweep(GRID, cache_dir=json_path)
+        sqlite_path = tmp_path / "odd-name"  # magic, not the suffix
+        run_sweep(GRID, cache_dir=sqlite_path)
         assert is_sqlite_file(sqlite_path)
-        assert store_kind_of(sqlite_path) == "sqlite"
-        assert store_kind_of(json_path) == "json"
         assert isinstance(open_store(sqlite_path), SqliteStore)
-        assert isinstance(open_store(json_path), JsonDirStore)
+        legacy = _legacy_sweep(GRID, tmp_path / "cache")
+        with pytest.raises(ReproError, match="is a directory"):
+            open_store(legacy)
 
     def test_missing_path_infers_kind_from_suffix(self, tmp_path):
-        assert store_kind_of(tmp_path / "x.sqlite") == "sqlite"
-        assert store_kind_of(tmp_path / "x.sqlite3") == "sqlite"
-        assert store_kind_of(tmp_path / "x.db") == "sqlite"
-        assert store_kind_of(tmp_path / "x") == "json"
+        # There is one kind: a missing path becomes a SQLite store
+        # whatever its suffix.
+        for name in ("x.sqlite", "x.sqlite3", "x.db", "x"):
+            with open_store(tmp_path / name, create=True) as store:
+                assert isinstance(store, SqliteStore)
+            assert is_sqlite_file(tmp_path / name)
 
     def test_missing_path_without_create_raises(self, tmp_path):
         with pytest.raises(ReproError, match="does not exist"):
             open_store(tmp_path / "missing")
 
     def test_kind_contradiction_is_an_error(self, tmp_path):
-        run_sweep(GRID, cache_dir=tmp_path / "cache")
-        with pytest.raises(ReproError, match="is a json store"):
-            open_store(tmp_path / "cache", kind="sqlite")
+        legacy = _legacy_sweep(GRID, tmp_path / "cache")
+        with pytest.raises(ReproError, match=f"repro migrate {legacy} "):
+            open_store(legacy, kind="sqlite")
 
     def test_row_dump_is_not_a_store(self, tmp_path):
         dump = tmp_path / "rows.json"
         dump.write_text("[]")
-        assert store_kind_of(dump) is None
-        with pytest.raises(ReproError, match="not a result store"):
+        assert not is_sqlite_file(dump)
+        with pytest.raises(ReproError, match="is not a result store"):
             open_store(dump)
 
     def test_unknown_kind_rejected(self, tmp_path):
-        with pytest.raises(ReproError, match="unknown store kind"):
-            open_store(tmp_path / "x", kind="parquet", create=True)
+        for kind in ("parquet", "json"):
+            with pytest.raises(ReproError, match="unknown store kind"):
+                open_store(tmp_path / "x", kind=kind, create=True)
+        assert not (tmp_path / "x").exists()
 
     def test_sweep_store_contradiction_fails_before_simulating(
-        self, tmp_path
+        self, tmp_path, monkeypatch
     ):
-        run_sweep(GRID, cache_dir=tmp_path / "cache")
-        with pytest.raises(ReproError, match="is a json store"):
-            run_sweep(GRID, cache_dir=tmp_path / "cache", store_kind="sqlite")
+        import repro.exp.sweep as sweep_module
+
+        legacy = _legacy_sweep(GRID, tmp_path / "cache")
+        monkeypatch.setattr(
+            sweep_module, "run_cell",
+            lambda config: pytest.fail("simulated despite a refused store"),
+        )
+        with pytest.raises(ReproError, match="repro migrate"):
+            run_sweep(GRID, cache_dir=legacy)
 
 
 #: Seeded-random grids for the migration round-trip property (same
@@ -278,48 +287,42 @@ def _random_specs(count):
 
 
 class TestMigrationRoundTrip:
-    """JSON -> SQLite -> JSON must be lossless to the byte."""
+    """Legacy JSON -> SQLite must be lossless to the byte."""
 
     @pytest.mark.parametrize(
         "spec", _random_specs(5), ids=lambda s: grid_fingerprint(s.expand())
     )
     def test_round_trip_property(self, tmp_path, spec):
-        original = tmp_path / "original"
-        run_sweep(spec, cache_dir=original)
+        original = _legacy_sweep(spec, tmp_path / "original")
         sqlite_path = tmp_path / "migrated.sqlite"
-        back = tmp_path / "back"
         migrate_store(original, sqlite_path)
-        migrate_store(sqlite_path, back)
-        read = {
-            path.name: path.read_bytes()
-            for path in sorted(original.glob("*.json"))
-        }
-        assert read == {
-            path.name: path.read_bytes()
-            for path in sorted(back.glob("*.json"))
-        }
-        # Same rows in, same report out — and the same fingerprint, so
-        # the CI cache key is invariant under migration.
-        report_md = report_from_cache(original)
-        assert report_from_cache(sqlite_path) == report_md
-        assert report_from_cache(back) == report_md
+        # Every payload comes back exactly as the file held it.
+        with open_store(sqlite_path) as store:
+            for path in sorted(original.glob("*.json")):
+                payload = json.loads(path.read_text(encoding="utf-8"))
+                assert store.row(path.stem).to_dict() == payload["result"]
+        # Same rows in, same report out — as a sweep straight into
+        # SQLite renders — and the same fingerprint, so the CI cache
+        # key is invariant under migration.
+        direct = tmp_path / "direct.sqlite"
+        run_sweep(spec, cache_dir=direct)
+        assert report_from_cache(sqlite_path) == report_from_cache(direct)
         from repro.exp.spec import fingerprint_from_keys
 
-        expected = grid_fingerprint(spec.expand())
-        for path in (original, sqlite_path, back):
-            with open_store(path) as store:
-                keys = [r.key for r in store.iter_rows()]
-            assert keys == sorted(keys)
-            assert fingerprint_from_keys(keys) == expected
+        with open_store(sqlite_path) as store:
+            keys = [r.key for r in store.iter_rows()]
+        assert keys == sorted(keys)
+        assert fingerprint_from_keys(keys) == grid_fingerprint(spec.expand())
 
     def test_migrated_fingerprint_matches(self, tmp_path):
         from repro.exp.spec import fingerprint_from_keys
 
-        original = tmp_path / "original"
-        run_sweep(GRID, cache_dir=original)
+        original = _legacy_sweep(GRID, tmp_path / "original")
         sqlite_path = tmp_path / "migrated.sqlite"
         migrate_store(original, sqlite_path)
-        with open_store(original) as a, open_store(sqlite_path) as b:
-            fp_a = fingerprint_from_keys(r.key for r in a.iter_rows())
-            fp_b = fingerprint_from_keys(r.key for r in b.iter_rows())
-        assert fp_a == fp_b == grid_fingerprint(GRID.expand())
+        with open_store(sqlite_path) as store:
+            keys = [row.key for row in store.iter_rows()]
+        fingerprint = fingerprint_from_keys(keys)
+        assert fingerprint == fingerprint_from_keys(
+            path.stem for path in original.glob("*.json")
+        ) == grid_fingerprint(GRID.expand())

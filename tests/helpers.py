@@ -1,10 +1,16 @@
-"""Test helpers: a scriptable coprocessor core and interface rigs."""
+"""Test helpers: a scriptable coprocessor core, interface rigs, and
+result-store fixtures."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import json
+import sqlite3
+from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 from repro.coproc.base import Behavior, Coprocessor
+from repro.exp.spec import CACHE_VERSION
+from repro.exp.store import open_store
 from repro.hw.dpram import DualPortRam
 from repro.hw.interrupts import InterruptController
 from repro.imu.direct import DirectInterface
@@ -138,3 +144,70 @@ def make_direct_rig(
     domain.attach(iface.tick)
     domain.attach(core.tick)
     return engine, dpram, iface, core, domain
+
+
+# ----------------------------------------------------------------------
+# Result-store fixtures
+# ----------------------------------------------------------------------
+
+
+def write_legacy_cache(root, rows):
+    """Write *rows* as a legacy JSON cache directory.
+
+    The result-store format before SQLite: one ``<config-hash>.json``
+    file per cell, byte for byte what the old directory writer
+    produced.  Only ``repro merge`` / ``repro migrate`` still read it.
+    """
+    root = Path(root)
+    root.mkdir(parents=True, exist_ok=True)
+    for row in rows:
+        payload = {"version": CACHE_VERSION, "result": row.to_dict()}
+        (root / f"{row.key}.json").write_text(
+            json.dumps(payload, sort_keys=True, indent=1) + "\n",
+            encoding="utf-8",
+        )
+    return root
+
+
+def put_rows(path, rows):
+    """A SQLite store at *path* holding *rows* (created if missing)."""
+    with open_store(path, create=True) as store:
+        for row in rows:
+            store.put(row)
+    return path
+
+
+def store_keys(path) -> list[str]:
+    """Every config hash stored in the SQLite store *path*, sorted."""
+    db = sqlite3.connect(path)
+    try:
+        return [
+            key for (key,) in
+            db.execute("SELECT DISTINCT key FROM results ORDER BY key")
+        ]
+    finally:
+        db.close()
+
+
+def tamper_store(path, key, version=None, payload=None):
+    """Overwrite the stored cache version and/or raw payload of *key*
+    in place — a stale-version or corrupt entry, as no writer makes."""
+    db = sqlite3.connect(path)
+    if version is not None:
+        db.execute(
+            "UPDATE results SET cache_version = ? WHERE key = ?",
+            (version, key),
+        )
+    if payload is not None:
+        db.execute(
+            "UPDATE results SET payload = ? WHERE key = ?", (payload, key)
+        )
+    db.commit()
+    db.close()
+
+
+def scale_metric(path, key, field="vim_ms", factor=1.5):
+    """Append a version of *key*'s row with *field* scaled by *factor*."""
+    with open_store(path) as store:
+        row = store.row(key)
+        store.put(replace(row, **{field: getattr(row, field) * factor}))

@@ -137,25 +137,6 @@ class TestCheckerCatchesRot:
         )
         assert check_docs.check_engines(page) == []
 
-    def test_stale_store_list_detected(self, tmp_path):
-        page = tmp_path / "page.md"
-        page.write_text(
-            "pick `--store {json,parquet}` for the backend\n",
-            encoding="utf-8",
-        )
-        failures = check_docs.check_store_kinds(page)
-        assert len(failures) == 1
-        assert "stale store-backend list" in failures[0]
-
-    def test_current_store_list_passes(self, tmp_path):
-        from repro.exp.store import STORES
-
-        page = tmp_path / "page.md"
-        page.write_text(
-            f"pick `--store {{{','.join(STORES)}}}`\n", encoding="utf-8"
-        )
-        assert check_docs.check_store_kinds(page) == []
-
     def test_undocumented_subcommand_detected(self, tmp_path):
         # A page that never writes `repro migrate` / `repro history`
         # misses those subcommands.
@@ -179,7 +160,7 @@ class TestCheckerCatchesRot:
             assert command in check_docs.DOCUMENTED_COMMANDS
         _every, per_command = check_docs._parser_options()
         assert "--dry-run" in per_command["merge"]
-        assert "--store" in per_command["migrate"]
+        assert "--last" in per_command["history"]
         assert "--cells" in per_command["history"]
         assert "--group-by" in per_command["diff"]
 
@@ -190,7 +171,7 @@ class TestCheckerCatchesRot:
         page.write_text("nothing here\n", encoding="utf-8")
         failures = check_docs.check_cli_flags(page)
         assert any("--shard" in f for f in failures)
-        assert any("--report" in f for f in failures)
+        assert any("--json" in f for f in failures)
         assert any("--baseline" in f for f in failures)
         assert any("--rtol" in f and "diff flag" in f for f in failures)
         assert any("--atol" in f for f in failures)
@@ -237,7 +218,7 @@ class TestCheckerCatchesRot:
         assert "diff" in check_docs.DOCUMENTED_COMMANDS
         _every, per_command = check_docs._parser_options()
         assert "--rtol" in per_command["diff"]
-        assert "--baseline" in per_command["sweep"]
+        assert "--baseline" in per_command["report"]
 
     def test_docs_flag_mentions_are_current(self):
         for doc in sorted((REPO_ROOT / "docs").glob("*.md")):
