@@ -4,117 +4,12 @@ Not a paper artefact — these track the cost of the reproduction's own
 machinery (event dispatch, IMU translation, full small runs) so that
 regressions in simulator performance are visible in CI.  Unlike the
 figure benches these use real repeated timing rounds.
-
-The ``*_engine_speedup`` benches run the same program once per engine
-backend in interleaved rounds and record the wall-clock ratio as
-``extra_info["wall_speedup_vs_reference"]``.  ``wall_``-prefixed keys
-are harness timing, not simulated numbers — ``tools/bench_diff.py``
-reports them but never gates on them — while the remaining extra_info
-keys of a pair double as an equivalence check: both backends must
-produce them identically.
 """
-
-import gc
-import time
-from dataclasses import replace
 
 from repro.exp import CellConfig, run_cell, run_sweep
 from repro.sim.clock import ClockDomain
-from repro.sim.engine import Engine, make_engine
+from repro.sim.engine import Engine
 from repro.sim.time import mhz
-
-
-def _paired_wall_speedup(run_reference, run_fast, rounds: int = 4) -> float:
-    """Best-of-*rounds* wall ratio, reference over fast, interleaved.
-
-    Interleaving the rounds (ref, fast, ref, fast, ...) instead of
-    timing each side in a block keeps slow-runner noise (thermal
-    ramps, neighbours) from landing entirely on one side.  Collections
-    are paused across the rounds: a GC pause triggered by an earlier
-    bench's garbage costs the shorter side proportionally more, which
-    would skew the ratio rather than just widening its variance.
-    """
-    ref_best = fast_best = float("inf")
-    gc.collect()
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for _ in range(rounds):
-            start = time.perf_counter()
-            run_reference()
-            ref_best = min(ref_best, time.perf_counter() - start)
-            start = time.perf_counter()
-            run_fast()
-            fast_best = min(fast_best, time.perf_counter() - start)
-    finally:
-        if was_enabled:
-            gc.enable()
-    return ref_best / fast_best
-
-
-def test_micro_clock_ticks_engine_speedup(benchmark):
-    """Native periodic tasks vs per-edge heap churn, 50k edges.
-
-    The fast backend's headline win: a lone clock domain's edges run in
-    the tight loop instead of one heap pop + closure push per edge.
-    The cycle count is deterministic and identical for both backends;
-    the wall ratio is informational but expected well above 3x.
-    """
-    def ticks(engine_name):
-        engine = make_engine(engine_name)
-        domain = ClockDomain(engine, "clk", mhz(40.0))
-        domain.attach(lambda: None)
-        domain.start()
-        engine.run_until(lambda: domain.cycles >= 50_000)
-        domain.stop()
-        return domain.cycles
-
-    speedup = _paired_wall_speedup(
-        lambda: ticks("reference"), lambda: ticks("fast")
-    )
-    cycles = benchmark(lambda: ticks("fast"))
-    assert cycles == ticks("reference") == 50_000
-    benchmark.extra_info["cycles"] = cycles
-    benchmark.extra_info["wall_speedup_vs_reference"] = round(speedup, 3)
-    # Loose floor so a noisy runner cannot flake the suite; the real
-    # number lands in BENCH_results.json for bench_diff to track.
-    assert speedup > 1.5
-
-
-def test_micro_edge_skip_engine_speedup(benchmark):
-    """The fast_forward burst path: each real edge grants 3 silent ones.
-
-    Models the IMU's stall collapse (``access_cycles=4`` leaves 3
-    provably inert edges per access).  The reference backend ignores
-    the hook and runs every edge; the fast backend consumes granted
-    runs arithmetically.  Cycle counts must still match exactly.
-    """
-    def ticks(engine_name):
-        engine = make_engine(engine_name)
-        domain = ClockDomain(engine, "clk", mhz(40.0))
-        domain.attach(lambda: None)
-
-        def fast_forward():
-            # A grantor may only hand out edges it has proven inert —
-            # here, edges that cannot flip the cycle-count predicate.
-            # (The real IMU grant is bounded the same way: it stops at
-            # the next port-visible event.)
-            remaining = 20_000 - domain.cycles
-            return 3 if remaining > 3 else max(0, remaining - 1)
-        domain.fast_forward = fast_forward
-        domain.start()
-        engine.run_until(lambda: domain.cycles >= 20_000)
-        domain.stop()
-        return domain.cycles
-
-    speedup = _paired_wall_speedup(
-        lambda: ticks("reference"), lambda: ticks("fast")
-    )
-    cycles = benchmark(lambda: ticks("fast"))
-    assert cycles == ticks("reference") == 20_000
-    benchmark.extra_info["cycles"] = cycles
-    benchmark.extra_info["wall_speedup_vs_reference"] = round(speedup, 3)
-    assert speedup > 1.5
 
 
 def test_micro_event_dispatch(benchmark):
@@ -145,32 +40,6 @@ def test_micro_clock_domain_ticks(benchmark):
         return domain.cycles
 
     assert benchmark(tick_10k) >= 10_000
-
-
-def test_micro_full_vim_cell_engine_speedup(benchmark):
-    """One full (small) cell per backend: the end-to-end ratio.
-
-    Well below the spine ratios — faults, copies and OS accounting are
-    shared work no backend can skip — but it is the number a sweep
-    user actually experiences, so track it.  The result rows double as
-    an equivalence check: everything but the engine field must match.
-    """
-    config = CellConfig(app="vadd", input_bytes=256 * 4, seed=1)
-
-    def cell(engine_name):
-        return run_cell(replace(config, engine=engine_name))
-
-    speedup = _paired_wall_speedup(
-        lambda: cell("reference"), lambda: cell("fast")
-    )
-    result = benchmark(lambda: cell("fast"))
-    reference = cell("reference").to_dict()
-    fast = result.to_dict()
-    del reference["config"]["engine"], fast["config"]["engine"]
-    assert fast == reference
-    benchmark.extra_info["vim_ms"] = result.vim_ms
-    benchmark.extra_info["page_faults"] = result.page_faults
-    benchmark.extra_info["wall_speedup_vs_reference"] = round(speedup, 3)
 
 
 def test_micro_full_vim_cell(benchmark):

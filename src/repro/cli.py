@@ -52,7 +52,6 @@ import functools
 import json
 import re
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import Callable
 
@@ -93,7 +92,6 @@ from repro.exp.spec import (
     shard_cells,
 )
 from repro.os.scheduler import SCHEDS
-from repro.sim.engine import ENGINES
 
 #: Ablation registry: name -> (driver, row headers, row formatter).
 _ABLATIONS: dict[str, Callable] = {
@@ -243,10 +241,8 @@ def _option_in_argv(argv, option: str) -> bool:
 
 #: Sweep flags that stay meaningful alongside ``--preset`` (the preset
 #: defines the grid; these control how it runs or where results go).
-#: ``engine`` qualifies: the backend changes how cells are simulated,
-#: never which cells exist — it is not part of the grid.
 _PRESET_FLAGS = frozenset(
-    {"preset", "jobs", "cache", "json", "force", "shard", "engine"}
+    {"preset", "jobs", "cache", "json", "force", "shard"}
 )
 
 
@@ -285,12 +281,7 @@ def spec_from_args(args: argparse.Namespace):
     the CI baseline-cache key without running it).
     """
     if args.preset:
-        # The preset is the grid; --engine only changes how it runs
-        # (and is hash-neutral, so the cache cells stay the same).
-        return [
-            replace(cell, engine=args.engine)
-            for cell in _SWEEP_PRESETS[args.preset]
-        ]
+        return list(_SWEEP_PRESETS[args.preset])
     return SweepSpec(
         apps=tuple(args.app),
         input_bytes=tuple(kb * 1024 for kb in args.kb),
@@ -313,7 +304,6 @@ def spec_from_args(args: argparse.Namespace):
         syn_phases=tuple(args.syn_phases),
         with_typical=args.typical,
         replicates=args.replicates,
-        engine=args.engine,
     )
 
 
@@ -567,6 +557,13 @@ def _print_record(args: argparse.Namespace) -> None:
     spelled identically everywhere — but must resolve to exactly *one*
     unique cell (a trace is one run's access stream, not a grid's).
     """
+    out = Path(args.out)
+    # Refuse before simulating, as sweep --json does: a directory
+    # cannot be written even with --force.
+    if out.is_dir():
+        raise ReproError(f"record target {out} is a directory")
+    if out.exists() and not args.force:
+        raise ReproError(f"{out} exists; pass --force to overwrite")
     spec = spec_from_args(args)
     cells = spec.expand() if isinstance(spec, SweepSpec) else list(spec)
     unique: dict[str, CellConfig] = {}
@@ -600,7 +597,7 @@ def _print_record(args: argparse.Namespace) -> None:
 #: shape the output table, never the grid; the coordinator owns
 #: caching and scheduling).
 _SUBMIT_PRESET_FLAGS = frozenset(
-    {"preset", "engine", "poll", "timeout",
+    {"preset", "poll", "timeout",
      "report", "group_by", "format", "baseline"}
 )
 
@@ -694,11 +691,11 @@ def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
     """The design-space grid flags, shared by ``sweep`` and ``submit``.
 
     Everything :func:`spec_from_args` reads lives here — axis flags,
-    ``--preset``, ``--typical``, ``--replicates`` and ``--engine`` —
-    so a grid means the same thing whether it runs locally or through
-    a coordinator.  Run flags (``--jobs``, ``--cache``, ``--shard``,
-    …) stay on ``sweep``: the coordinator owns caching and scheduling
-    on the service path.
+    ``--preset``, ``--typical`` and ``--replicates`` — so a grid means
+    the same thing whether it runs locally or through a coordinator.
+    Run flags (``--jobs``, ``--cache``, ``--shard``, …) stay on
+    ``sweep``: the coordinator owns caching and scheduling on the
+    service path.
     """
     parser.add_argument("--app", nargs="+", default=["adpcm"], choices=APPS,
                         help="workload axis")
@@ -758,10 +755,6 @@ def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
                              "axis flags is an error)")
     parser.add_argument("--typical", action="store_true",
                         help="also run the typical (non-VIM) coprocessor")
-    parser.add_argument("--engine", default="reference", choices=ENGINES,
-                        help="simulation kernel backend for every cell "
-                             "(one value, not an axis: backends are "
-                             "result-equivalent and share cache cells)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -22,36 +22,17 @@ silently picking a winner.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import groupby
 from pathlib import Path
 
 from repro.errors import ReproError
-from repro.exp.results import CellResult
 from repro.exp.store import (
     SqliteStore,
     is_sqlite_file,
     open_source,
     open_store,
 )
-
-
-def same_result(known: CellResult, other: CellResult) -> bool:
-    """Row equality modulo the engine field.
-
-    The engine backend is excluded from cell identity (backends are
-    result-equivalent and share config hashes), so a reference shard
-    and a fast shard of the same grid merge as identical rows rather
-    than conflicting.  Any other difference is a real conflict.  The
-    sweep service (:mod:`repro.exp.service`) ingests worker results
-    through this same predicate, so a duplicated completion (lease
-    expiry plus a late worker) is accepted when identical and refused
-    as a conflict otherwise — one equality contract store-wide.
-    """
-    if known == other:
-        return True
-    aligned = replace(known.config, engine=other.config.engine)
-    return replace(known, config=aligned) == other
 
 
 @dataclass(frozen=True)
@@ -247,7 +228,7 @@ def _cross_check(
             if dest_store is not None else None
         )
         conflicted = False
-        if existing is not None and not same_result(existing, first_result):
+        if existing is not None and existing != first_result:
             conflicts.append(MergeConflict(
                 key=key,
                 source=first_origin,
@@ -263,7 +244,7 @@ def _cross_check(
                 # Already contested; duplicate source copies must not
                 # inflate the conflict count.
                 continue
-            if same_result(first_result, result):
+            if result == first_result:
                 identical += 1
             else:
                 conflicts.append(MergeConflict(

@@ -99,7 +99,7 @@ def record_cell(
     if config.tenants > 1 or config.tenant_repeats > 1:
         workloads = build_tenant_workloads(config)
         result = run_tenants(
-            System(soc, engine=config.engine),
+            System(soc),
             workloads,
             policy=config.policy,
             transfer_mode=_TRANSFER_MODES[config.transfer],
@@ -120,7 +120,7 @@ def record_cell(
         workload = build_workload(config)
         workloads = [Workload(spec=workload)]
         run = run_vim(
-            System(soc, engine=config.engine),
+            System(soc),
             workload,
             policy=config.policy,
             transfer_mode=_TRANSFER_MODES[config.transfer],

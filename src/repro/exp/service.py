@@ -9,9 +9,9 @@ users" path), and leases only the genuinely novel cells to a
 pull-based worker pool (:mod:`repro.exp.worker`) with heartbeats,
 per-lease timeouts and bounded retry (:mod:`repro.exp.leasing`).
 Results are ingested through the same equality contract the shard
-merger uses (:func:`~repro.exp.merge.same_result`), so the service
-store is byte-identical to what a local ``repro sweep`` over the same
-grid would have written — the property the ``sweep-service`` CI job
+merger uses (plain row equality), so the service store is
+byte-identical to what a local ``repro sweep`` over the same grid
+would have written — the property the ``sweep-service`` CI job
 asserts with ``repro diff``.
 
 Everything is stdlib: ``http.server.ThreadingHTTPServer`` with a JSON
@@ -54,7 +54,6 @@ from urllib import request as urlrequest
 
 from repro.errors import ReproError
 from repro.exp.leasing import LeaseBoard
-from repro.exp.merge import same_result
 from repro.exp.results import CellResult
 from repro.exp.spec import CellConfig
 from repro.exp.store import open_store
@@ -235,7 +234,7 @@ class SweepService:
             existing = self._store.get(result.config)
             if existing is None:
                 self._store.put(result)
-            elif not same_result(existing, result):
+            elif existing != result:
                 error = (
                     f"conflicting results for config {result.key}: "
                     f"lease {lease_id} disagrees with the stored row"

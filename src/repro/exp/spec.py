@@ -17,7 +17,6 @@ from functools import lru_cache
 
 from repro.errors import ReproError
 from repro.os.scheduler import SCHEDS
-from repro.sim.engine import ENGINES
 
 #: Bump when CellResult semantics change, so stale caches miss.
 #: (6: the ``sched`` scheduling-policy axis, per-tenant priorities in
@@ -173,14 +172,6 @@ class CellConfig:
         hit the same cached cells, and a changed file under the same
         path must miss.  Both are canonicalised to ``None`` for every
         other app.
-    engine : str
-        Simulation kernel backend, one of
-        :data:`repro.sim.engine.ENGINES`.  **Not an axis of the design
-        space**: both backends are required to produce byte-identical
-        results, so the field is excluded from :func:`config_hash` and
-        from :meth:`label` — a fast-backend sweep reads and writes the
-        same cache cells a reference sweep would, which is exactly what
-        lets ``repro diff`` check the two against each other.
     """
 
     app: str = "adpcm"
@@ -208,15 +199,12 @@ class CellConfig:
     sched: str = "rr"
     trace_path: str | None = None
     trace_digest: str | None = None
-    engine: str = "reference"
 
     def __post_init__(self) -> None:
         if self.app not in APPS:
             raise ReproError(f"unknown app {self.app!r}; choices: {APPS}")
-        if self.engine not in ENGINES:
-            raise ReproError(
-                f"unknown engine backend {self.engine!r}; choices: {ENGINES}"
-            )
+        if self.seed < 0:
+            raise ReproError(f"seed must be >= 0, got {self.seed}")
         if self.transfer not in TRANSFERS:
             raise ReproError(
                 f"unknown transfer mode {self.transfer!r}; choices: {TRANSFERS}"
@@ -364,11 +352,28 @@ class CellConfig:
             object.__setattr__(self, "trace_digest", None)
 
     def to_dict(self) -> dict:
-        """JSON-friendly dump (field order fixed by the dataclass)."""
-        return asdict(self)
+        """JSON-friendly dump (field order fixed by the dataclass).
+
+        Ends with ``"engine": "reference"``: every stored payload,
+        ``--json`` dump and digest written so far carries that key,
+        so rows stay byte-identical although only one engine exists.
+        """
+        data = asdict(self)
+        data["engine"] = "reference"
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "CellConfig":
+        """Rebuild a config from :meth:`to_dict` output.
+
+        The ``engine`` key is accepted and dropped when it names the
+        reference engine or the retired ``fast`` one, whose rows were
+        byte-identical; any other value is rejected.
+        """
+        data = dict(data)
+        engine = data.pop("engine", "reference")
+        if engine not in ("reference", "fast"):
+            raise ReproError(f"unknown engine {engine!r} in cell config")
         names = {f.name for f in fields(cls)}
         unknown = set(data) - names
         if unknown:
@@ -428,16 +433,11 @@ def config_hash(config: CellConfig) -> str:
     change to either the configuration or the result schema produces a
     clean cache miss rather than a stale read.
 
-    The ``engine`` field is the one exception: the backend is required
-    to be observationally equivalent, so it must not fork the cache
-    identity — reference and fast sweeps share cells, and ``repro
-    diff`` aligns their caches row for row.  ``trace_path`` is the
-    other: the trace's *content digest* is hashed in its stead, so
-    moving a trace file never forks the cache while changing its
-    contents always does.
+    ``trace_path`` is the one exception: the trace's *content digest*
+    is hashed in its stead, so moving a trace file never forks the
+    cache while changing its contents always does.
     """
-    config_dict = config.to_dict()
-    config_dict.pop("engine", None)
+    config_dict = asdict(config)
     config_dict.pop("trace_path", None)
     payload = {"version": CACHE_VERSION, "config": config_dict}
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -450,12 +450,11 @@ def replica_hash(config: CellConfig) -> str:
     Two runs of the same grid with disjoint seed sets produce rows
     whose :func:`config_hash` keys never collide (the seed is part of
     the cache identity).  ``repro diff --bands cv`` still has to pair
-    those rows up: this digest drops ``seed`` (and ``engine``, like
-    :func:`config_hash`) so replicate families align across seed sets
-    while every other axis still separates rows.
+    those rows up: this digest drops ``seed`` (and ``trace_path``,
+    like :func:`config_hash`) so replicate families align across seed
+    sets while every other axis still separates rows.
     """
-    config_dict = config.to_dict()
-    config_dict.pop("engine", None)
+    config_dict = asdict(config)
     config_dict.pop("trace_path", None)
     config_dict.pop("seed", None)
     payload = {"version": CACHE_VERSION, "replica": config_dict}
@@ -553,12 +552,6 @@ class SweepSpec:
         Deliberately a whole-spec knob — mixing replicated and
         unreplicated rows in one cache would leave ``repro diff
         --bands cv`` without bands for half the grid.
-    engine : str
-        Applied to every cell (not an axis): the simulation kernel
-        backend, one of :data:`repro.sim.engine.ENGINES`.  Deliberately
-        a whole-spec knob — as an axis it would be futile, because the
-        engine is excluded from the config hash and the duplicate cells
-        would collapse to one.
 
     Examples
     --------
@@ -593,7 +586,6 @@ class SweepSpec:
     syn_phases: tuple[int, ...] = (1,)
     with_typical: bool = False
     replicates: int = 1
-    engine: str = "reference"
 
     def expand(self) -> list[CellConfig]:
         """Expand the grid to concrete cells.
@@ -645,7 +637,6 @@ class SweepSpec:
                     syn_read_pct=read_pct,
                     syn_phases=phases,
                     replicates=self.replicates,
-                    engine=self.engine,
                 )
             )
         return cells

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import sqlite3
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -238,15 +238,11 @@ class SqliteStore:
     def get(self, config: CellConfig) -> CellResult | None:
         """The stored row for *config*, or ``None`` on any miss.
 
-        Matching is modulo the ``engine`` field: backends are
-        result-equivalent and excluded from the config hash, so a row
-        priced by either serves a sweep running the other.  Any
-        *other* config mismatch is a collision or corruption — a miss.
+        A stored row whose config differs from *config* is a collision
+        or corruption — a miss.
         """
         result = self.row(config.key())
-        if result is None:
-            return None
-        if replace(result.config, engine=config.engine) != config:
+        if result is None or result.config != config:
             return None
         return result
 

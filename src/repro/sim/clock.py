@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.errors import SimulationError
-from repro.sim.engine import EngineBackend
+from repro.sim.engine import Engine
 from repro.sim.time import Frequency
 
 
@@ -28,33 +28,17 @@ class ClockDomain:
     every rising edge, which gives deterministic intra-cycle ordering
     (e.g. the IMU samples coprocessor outputs *after* the coprocessor
     has driven them if the coprocessor was attached first).
-
-    On a backend providing ``start_periodic`` (the fast engine) the
-    domain registers itself as a native periodic task instead of
-    rescheduling a one-shot per edge; the optional :attr:`fast_forward`
-    hook then lets the engine silently consume runs of edges whose only
-    effect is counter increments the hook pre-applies.
     """
 
-    def __init__(self, engine: EngineBackend, name: str, frequency: Frequency) -> None:
+    def __init__(self, engine: Engine, name: str, frequency: Frequency) -> None:
         self.engine = engine
         self.name = name
         self.frequency = frequency
         self.period_ps = frequency.period_ps
         self.cycles = 0
-        #: Optional edge-skip hook (see ``FastEngine.start_periodic``);
-        #: ignored by the reference backend.
-        self.fast_forward: Callable[[], int] | None = None
         self._handlers: list[Callable[[], None]] = []
         self._running = False
         self._next_event: int | None = None
-        self._task = None
-        # Silent-edge budget outstanding when the domain was last
-        # stopped.  The runner stops and restarts the clocks around
-        # every interrupt service; edges the hook already accounted for
-        # are still owed after the restart, so the budget must survive
-        # the stop/start pair to keep fast and reference timing equal.
-        self._pending_skip = 0
 
     def attach(self, handler: Callable[[], None]) -> None:
         """Attach a rising-edge handler (called once per cycle)."""
@@ -74,15 +58,6 @@ class ClockDomain:
         if self._running:
             raise SimulationError(f"clock domain {self.name!r} already running")
         self._running = True
-        start_periodic = getattr(self.engine, "start_periodic", None)
-        if start_periodic is not None:
-            self._task = start_periodic(
-                self.period_ps, self._handlers, self, self.fast_forward
-            )
-            if self._pending_skip:
-                self._task.skip = self._pending_skip
-                self._pending_skip = 0
-            return
         self._next_event = self.engine.schedule(self.period_ps, self._tick)
 
     def stop(self) -> None:
@@ -90,11 +65,6 @@ class ClockDomain:
         if not self._running:
             return
         self._running = False
-        if self._task is not None:
-            self._pending_skip = self._task.skip
-            self.engine.stop_periodic(self._task)
-            self._task = None
-            return
         if self._next_event is not None:
             self.engine.cancel(self._next_event)
             self._next_event = None

@@ -1,83 +1,22 @@
-"""Discrete-event simulation engine backends.
+"""The discrete-event simulation engine.
 
 The engine is the spine of the whole reproduction: hardware clock
 domains schedule their rising edges as events, while operating-system
 work (which we model analytically rather than instruction by
 instruction) advances time in bulk with :meth:`Engine.advance`.
 
-Two interchangeable backends implement the :class:`EngineBackend`
-protocol:
-
-* :class:`Engine` — the **reference** backend: an integer-time event
-  queue with stable FIFO ordering for simultaneous events.  It is
-  intentionally minimal because the paper's claims are about
-  *architectural* interleavings (faults, stalls, copies), not about
-  electrical timing.
-* :class:`FastEngine` — the **fast** backend: a calendar of periodic
-  edge streams.  Clock edges are native tasks generated arithmetically
-  (no per-edge heap churn or closure scheduling), one-shot events keep
-  a heap with O(1) in-place cancellation, and a clock domain may
-  install a ``fast_forward`` hook that lets the engine silently skip
-  runs of provably side-effect-free edges.  Event ordering — the
-  ``(time, sequence)`` total order — is bit-identical to the reference
-  backend: every edge, silent or not, consumes the same sequence
-  number the reference implementation would have, so one-shot events
-  (DMA completions) interleave with clock edges exactly as before.
-
-``make_engine(name)`` builds a backend by name; :data:`ENGINES` lists
-the valid names (the CLI's ``--engine`` choices).
+:class:`Engine` is an integer-time event queue with stable FIFO
+ordering for simultaneous events.  It is intentionally minimal because
+the paper's claims are about *architectural* interleavings (faults,
+stalls, copies), not about electrical timing.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Protocol, runtime_checkable
+from typing import Any, Callable
 
 from repro.errors import SimulationError
-
-#: Valid engine backend names, in presentation order.  ``reference``
-#: is the default everywhere (CLI, ``System``, sweep specs).
-ENGINES = ("reference", "fast")
-
-
-@runtime_checkable
-class EngineBackend(Protocol):
-    """What every simulation backend must provide.
-
-    The contract all call sites rely on:
-
-    * integer picosecond time, monotonically non-decreasing;
-    * FIFO ordering of simultaneous events (scheduling order);
-    * ``run_until`` re-checks the predicate before every event and
-      raises :class:`~repro.errors.SimulationError` past
-      ``max_time_ps`` while keeping the over-deadline event pending;
-    * ``advance`` fires due events, then pins time to the deadline.
-    """
-
-    @property
-    def now(self) -> int: ...
-
-    def schedule(self, delay_ps: int, callback: Callable[[], Any]) -> int: ...
-
-    def schedule_at(self, time_ps: int, callback: Callable[[], Any]) -> int: ...
-
-    def cancel(self, handle: int) -> None: ...
-
-    def peek(self) -> int | None: ...
-
-    def pending(self) -> int: ...
-
-    def step(self) -> bool: ...
-
-    def run_until(
-        self,
-        predicate: Callable[[], bool],
-        max_time_ps: int | None = None,
-    ) -> bool: ...
-
-    def advance(self, delay_ps: int) -> None: ...
-
-    def drain(self, max_events: int = 10_000_000) -> int: ...
 
 
 class Engine:
@@ -236,423 +175,3 @@ class Engine:
             if count > max_events:
                 raise SimulationError("drain exceeded max_events; livelock?")
         return count
-
-
-class PeriodicTask:
-    """A clock domain's edge stream, run natively by :class:`FastEngine`.
-
-    The engine increments ``owner.cycles`` once per edge and calls the
-    ``handlers`` list in order — mirroring ``ClockDomain._tick`` — and
-    consumes one sequence number per edge exactly where the reference
-    backend's tick would have rescheduled itself, so the (time, seq)
-    order of everything else is untouched.
-
-    ``skip`` is the silent-edge budget granted by the ``fast_forward``
-    hook: that many upcoming edges are known to have no effect beyond
-    the counter increments the hook already applied, so the engine
-    consumes them without calling any handler.
-    """
-
-    __slots__ = (
-        "period_ps", "handlers", "owner", "fast_forward",
-        "next_time", "seq", "running", "skip",
-    )
-
-    def __init__(
-        self,
-        period_ps: int,
-        handlers: list[Callable[[], None]],
-        owner: Any,
-        fast_forward: Callable[[], int] | None,
-        next_time: int,
-        seq: int,
-    ) -> None:
-        self.period_ps = period_ps
-        self.handlers = handlers
-        self.owner = owner
-        self.fast_forward = fast_forward
-        self.next_time = next_time
-        self.seq = seq
-        self.running = True
-        self.skip = 0
-
-
-class FastEngine:
-    """Calendar-queue backend with native periodic tasks.
-
-    The calendar's buckets are the periodic edge *streams*: each clock
-    domain is one :class:`PeriodicTask` whose edges are generated
-    arithmetically and stepped in a tight loop — no heap push/pop, no
-    closure allocation per edge — and may be fast-forwarded over
-    provably inert edges (see :meth:`start_periodic`).  One-shot
-    events (DMA completions, test fixtures) keep a heap, but of
-    *mutable entries*: cancellation nulls the entry in place through a
-    handle map — O(1), no tombstone set — so ``pending()`` is exact by
-    construction.
-
-    Equivalence contract: for any program, the sequence of (time,
-    callback-effect) pairs is identical to :class:`Engine`'s, because
-    sequence numbers are consumed at exactly the same points.
-    """
-
-    def __init__(self) -> None:
-        self._now = 0
-        self._seq = 0
-        # One-shot events: a heap of [time, seq, callback] lists (seq
-        # is unique, so the callback is never compared) plus the
-        # handle -> entry map used for in-place cancellation.
-        self._queue: list[list] = []
-        self._handles: dict[int, list] = {}
-        self._tasks: list[PeriodicTask] = []
-        # Bumped on any queue perturbation (schedule, cancel, task
-        # start/stop); the tight loop re-plans when it changes.
-        self._epoch = 0
-
-    @property
-    def now(self) -> int:
-        """Current simulated time in picoseconds."""
-        return self._now
-
-    # -- one-shot events ------------------------------------------------
-
-    def schedule(self, delay_ps: int, callback: Callable[[], Any]) -> int:
-        """Schedule *callback* to run ``delay_ps`` from now."""
-        if delay_ps < 0:
-            raise SimulationError(f"cannot schedule in the past ({delay_ps} ps)")
-        return self.schedule_at(self._now + delay_ps, callback)
-
-    def schedule_at(self, time_ps: int, callback: Callable[[], Any]) -> int:
-        """Schedule *callback* at absolute time ``time_ps``."""
-        if time_ps < self._now:
-            raise SimulationError(
-                f"cannot schedule at {time_ps} ps, now is {self._now} ps"
-            )
-        handle = self._seq
-        self._seq += 1
-        entry = [time_ps, handle, callback]
-        heapq.heappush(self._queue, entry)
-        self._handles[handle] = entry
-        self._epoch += 1
-        return handle
-
-    def cancel(self, handle: int) -> None:
-        """Cancel a previously scheduled event (no-op if already run)."""
-        entry = self._handles.pop(handle, None)
-        if entry is not None:
-            entry[2] = None
-            self._epoch += 1
-
-    def pending(self) -> int:
-        """Number of scheduled (non-cancelled) events."""
-        return len(self._handles) + len(self._tasks)
-
-    def _head(self) -> list | None:
-        """The earliest live one-shot entry, pruning cancelled ones."""
-        queue = self._queue
-        while queue:
-            entry = queue[0]
-            if entry[2] is not None:
-                return entry
-            heapq.heappop(queue)
-        return None
-
-    def _pop_head(self, entry: list) -> None:
-        heapq.heappop(self._queue)
-        del self._handles[entry[1]]
-
-    # -- periodic tasks --------------------------------------------------
-
-    def start_periodic(
-        self,
-        period_ps: int,
-        handlers: list[Callable[[], None]],
-        owner: Any,
-        fast_forward: Callable[[], int] | None = None,
-    ) -> PeriodicTask:
-        """Begin a periodic edge stream; first edge one period from now.
-
-        *handlers* is held by reference (handlers attached later still
-        run).  *owner* must expose a mutable ``cycles`` attribute the
-        engine increments once per edge.  *fast_forward*, if given, is
-        called after each executed edge; it may pre-apply the effects
-        of the next *k* edges (which must consist of nothing but
-        counter increments — no port writes, no interrupts, no state
-        transitions) and return *k* to let the engine consume them
-        silently.  Returning 0 means the next edge must run for real.
-        """
-        if period_ps <= 0:
-            raise SimulationError(f"period must be positive ({period_ps} ps)")
-        seq = self._seq
-        self._seq += 1
-        task = PeriodicTask(
-            period_ps, handlers, owner, fast_forward,
-            self._now + period_ps, seq,
-        )
-        self._tasks.append(task)
-        self._epoch += 1
-        return task
-
-    def stop_periodic(self, task: PeriodicTask) -> None:
-        """Stop a periodic edge stream (idempotent)."""
-        if not task.running:
-            return
-        task.running = False
-        try:
-            self._tasks.remove(task)
-        except ValueError:  # pragma: no cover - stopped twice racing
-            pass
-        self._epoch += 1
-
-    def _next_task(self) -> PeriodicTask | None:
-        tasks = self._tasks
-        if not tasks:
-            return None
-        if len(tasks) == 1:
-            return tasks[0]
-        return min(tasks, key=lambda t: (t.next_time, t.seq))
-
-    def _run_edge(self, task: PeriodicTask) -> None:
-        """Execute one real edge of *task*, reference-equivalently."""
-        self._now = task.next_time
-        task.owner.cycles += 1
-        for handler in task.handlers:
-            handler()
-        if not task.running:
-            # A handler stopped the domain: the reference backend would
-            # not have rescheduled, so no sequence number is consumed.
-            return
-        seq = self._seq
-        self._seq = seq + 1
-        task.seq = seq
-        task.next_time += task.period_ps
-        fast_forward = task.fast_forward
-        if fast_forward is not None:
-            granted = fast_forward()
-            if granted:
-                task.skip = granted
-
-    def _consume_skips(
-        self,
-        task: PeriodicTask,
-        max_time_ps: int | None,
-        max_count: int | None,
-    ) -> None:
-        """Silently consume due skip-budget edges of *task*.
-
-        Consumes as many edges as possible up to (exclusive) the next
-        one-shot event and the next edge of any *other* task — those
-        must interleave through the outer (time, seq) comparison — and
-        up to (inclusive) ``max_time_ps``.  At least one edge is always
-        consumed: callers only get here after choosing *task*'s next
-        edge as the globally earliest item.
-        """
-        bound: int | None = None
-        head = self._head()
-        if head is not None:
-            bound = head[0] - 1
-        for other in self._tasks:
-            if other is not task:
-                limit = other.next_time - 1
-                if bound is None or limit < bound:
-                    bound = limit
-        if max_time_ps is not None and (bound is None or max_time_ps < bound):
-            bound = max_time_ps
-        count = task.skip
-        if bound is not None:
-            span = bound - task.next_time
-            count = 0 if span < 0 else min(count, span // task.period_ps + 1)
-        if max_count is not None:
-            count = min(count, max_count)
-        if count <= 0:
-            count = 1
-        seq = self._seq
-        self._seq = seq + count
-        task.seq = seq + count - 1
-        task.skip -= count
-        task.next_time += count * task.period_ps
-        task.owner.cycles += count
-        self._now = task.next_time - task.period_ps
-
-    # -- running ----------------------------------------------------------
-
-    def peek(self) -> int | None:
-        """Time of the next live event (one-shot or edge), or None."""
-        head = self._head()
-        task = self._next_task()
-        if head is None and task is None:
-            return None
-        if task is None:
-            return head[0]
-        if head is None:
-            return task.next_time
-        return min(head[0], task.next_time)
-
-    def step(self) -> bool:
-        """Run the earliest pending event.  Returns False if none left."""
-        head = self._head()
-        task = self._next_task()
-        if head is not None and (
-            task is None or (head[0], head[1]) < (task.next_time, task.seq)
-        ):
-            self._pop_head(head)
-            self._now = head[0]
-            head[2]()
-            return True
-        if task is None:
-            return False
-        if task.skip:
-            self._consume_skips(task, None, 1)
-        else:
-            self._run_edge(task)
-        return True
-
-    def run_until(
-        self,
-        predicate: Callable[[], bool],
-        max_time_ps: int | None = None,
-    ) -> bool:
-        """Run events until *predicate* becomes true (see :class:`Engine`)."""
-        return self.run_batch(predicate, max_time_ps)
-
-    def run_batch(
-        self,
-        predicate: Callable[[], bool],
-        max_time_ps: int | None = None,
-    ) -> bool:
-        """Optimised :meth:`run_until`: batches uninterrupted event runs.
-
-        Functionally identical to the reference ``run_until`` —
-        *predicate* is (conceptually) re-checked before every event; it
-        must be a pure observation of simulation state, which lets runs
-        of silent edges be consumed in one step.  When a single clock
-        domain is the only event source, edges run in a tight inner
-        loop that re-plans on any queue perturbation.
-        """
-        while not predicate():
-            head = self._head()
-            task = self._next_task()
-            if head is not None and (
-                task is None or (head[0], head[1]) < (task.next_time, task.seq)
-            ):
-                time_ps = head[0]
-                if max_time_ps is not None and time_ps > max_time_ps:
-                    raise SimulationError(
-                        f"run_until exceeded {max_time_ps} ps without "
-                        f"satisfying predicate (now={self._now} ps)"
-                    )
-                self._pop_head(head)
-                self._now = time_ps
-                head[2]()
-                continue
-            if task is None:
-                return False
-            if max_time_ps is not None and task.next_time > max_time_ps:
-                raise SimulationError(
-                    f"run_until exceeded {max_time_ps} ps without "
-                    f"satisfying predicate (now={self._now} ps)"
-                )
-            if task.skip:
-                self._consume_skips(task, max_time_ps, None)
-                continue
-            self._run_edge(task)
-            if len(self._tasks) == 1 and task.running and not task.skip:
-                self._run_edges_tight(task, predicate, max_time_ps)
-        return True
-
-    def _run_edges_tight(
-        self,
-        task: PeriodicTask,
-        predicate: Callable[[], bool],
-        max_time_ps: int | None,
-    ) -> None:
-        """Hot loop: step a lone clock domain edge after edge.
-
-        Plans a horizon (the next one-shot event, or the deadline) and
-        runs edges without touching the calendar until the horizon, a
-        queue perturbation (epoch bump), a stop, or a skip grant hands
-        control back to :meth:`run_batch`.
-        """
-        head = self._head()
-        horizon = head[0] - 1 if head is not None else (1 << 62)
-        if max_time_ps is not None and max_time_ps < horizon:
-            horizon = max_time_ps
-        handlers = task.handlers
-        owner = task.owner
-        period_ps = task.period_ps
-        fast_forward = task.fast_forward
-        epoch = self._epoch
-        next_time = task.next_time
-        while next_time <= horizon and not predicate():
-            self._now = next_time
-            owner.cycles += 1
-            for handler in handlers:
-                handler()
-            if epoch != self._epoch:
-                # A handler perturbed the queue (schedule, cancel,
-                # start/stop — stopping always bumps the epoch, so this
-                # check subsumes a task.running test).  Finish this
-                # edge's bookkeeping reference-equivalently, then hand
-                # control back to run_batch to re-plan the horizon.
-                if task.running:
-                    task.seq = seq = self._seq
-                    self._seq = seq + 1
-                    task.next_time = next_time + period_ps
-                    if fast_forward is not None:
-                        granted = fast_forward()
-                        if granted:
-                            task.skip = granted
-                return
-            task.seq = seq = self._seq
-            self._seq = seq + 1
-            next_time += period_ps
-            task.next_time = next_time
-            if fast_forward is not None:
-                granted = fast_forward()
-                if granted:
-                    task.skip = granted
-                    return
-
-    def advance(self, delay_ps: int) -> None:
-        """Advance simulated time by ``delay_ps``, firing due events."""
-        if delay_ps < 0:
-            raise SimulationError(f"cannot advance by negative time ({delay_ps})")
-        deadline = self._now + delay_ps
-        while True:
-            head = self._head()
-            task = self._next_task()
-            if head is not None and (
-                task is None or (head[0], head[1]) < (task.next_time, task.seq)
-            ):
-                if head[0] > deadline:
-                    break
-                self._pop_head(head)
-                self._now = head[0]
-                head[2]()
-                continue
-            if task is None or task.next_time > deadline:
-                break
-            if task.skip:
-                self._consume_skips(task, deadline, None)
-            else:
-                self._run_edge(task)
-        self._now = deadline
-
-    def drain(self, max_events: int = 10_000_000) -> int:
-        """Run every pending event; returns the number executed."""
-        count = 0
-        while self.step():
-            count += 1
-            if count > max_events:
-                raise SimulationError("drain exceeded max_events; livelock?")
-        return count
-
-
-def make_engine(name: str = "reference") -> Engine | FastEngine:
-    """Build an engine backend by name (see :data:`ENGINES`)."""
-    if name == "reference":
-        return Engine()
-    if name == "fast":
-        return FastEngine()
-    raise SimulationError(
-        f"unknown engine backend {name!r}; choices: {', '.join(ENGINES)}"
-    )

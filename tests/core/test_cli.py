@@ -138,6 +138,13 @@ class TestSweep:
                 main(["sweep", "--app", "vadd", "--kb", "1",
                       "--json", str(target), *extra])
 
+    def test_sweep_negative_seed_exits_2(self, capsys):
+        # Grid expansion rejects the cell before the first one runs.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--app", "vadd", "--kb", "1", "--seed", "1", "-1"])
+        assert excinfo.value.code == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+
     def test_sweep_json_force_overwrites(self, capsys, tmp_path):
         import json
 
@@ -384,11 +391,16 @@ class TestStoreCli:
         ["sweep", "--app", "vadd", "--format", "md"],
         ["sweep", "--app", "vadd", "--group-by", "policy"],
         ["sweep", "--app", "vadd", "--baseline", "x.sqlite"],
+        ["sweep", "--app", "vadd", "--engine", "reference"],
+        ["submit", "--app", "vadd", "--engine", "reference"],
+        ["record", "out.trace", "--app", "vadd", "--engine", "reference"],
     ], ids=["sweep-report", "sweep-format", "sweep-group-by",
-            "sweep-baseline"])
+            "sweep-baseline", "sweep-engine", "submit-engine",
+            "record-engine"])
     def test_removed_flags_rejected(self, capsys, argv):
         # One report command: the `sweep --report` alias and its
-        # report-shaping flags are gone, and argparse says so.
+        # report-shaping flags are gone; so is the engine backend
+        # choice.  argparse says so.
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2

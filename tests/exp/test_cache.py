@@ -9,7 +9,6 @@ classification is pinned here too.
 """
 
 import json
-from dataclasses import replace
 
 from repro.exp import cache as cache_module
 from repro.exp import spec as spec_module
@@ -18,7 +17,7 @@ from repro.exp.cache import iter_classified
 from repro.exp.cell import run_cell
 from repro.exp.spec import CACHE_VERSION, CellConfig
 from repro.exp.store import open_store
-from tests.helpers import tamper_store, write_legacy_cache
+from tests.helpers import tag_stored_engine, tamper_store, write_legacy_cache
 
 #: The smallest meaningful cell: a 64-element vector add.
 TINY = CellConfig(app="vadd", input_bytes=256)
@@ -46,16 +45,15 @@ class TestRoundTrip:
             assert store.get(other) is None
 
     def test_row_serves_the_other_engine(self, tmp_path):
-        # The engine backend is excluded from cell identity: a row
-        # priced by either backend must serve a sweep running the
-        # other (the CI equivalence job's cache-hit guard relies on
-        # this).  The returned row keeps its own provenance.
+        # Rows written by the retired fast backend record
+        # "engine": "fast"; they were byte-identical otherwise, so
+        # they must still serve a sweep.
         result = run_cell(TINY)
         with _store(tmp_path) as store:
             store.put(result)
-            hit = store.get(replace(TINY, engine="fast"))
-        assert hit == result
-        assert hit.config.engine == "reference"
+        tag_stored_engine(tmp_path / "cache.sqlite", TINY.key(), "fast")
+        with _store(tmp_path) as store:
+            assert store.get(TINY) == result
 
     def test_len_counts_entries(self, tmp_path):
         with _store(tmp_path) as store:
@@ -94,6 +92,15 @@ class TestDefensiveLoads:
         tamper_store(tmp_path / "cache.sqlite", other.key(), payload=payload)
         with _store(tmp_path) as store:
             assert store.get(other) is None
+            assert store.counts().invalid == 1
+
+    def test_unknown_engine_degrades_to_miss(self, tmp_path):
+        # Only "reference" and the retired "fast" were ever written.
+        with _store(tmp_path) as store:
+            store.put(run_cell(TINY))
+        tag_stored_engine(tmp_path / "cache.sqlite", TINY.key(), "bogus")
+        with _store(tmp_path) as store:
+            assert store.get(TINY) is None
             assert store.counts().invalid == 1
 
     def test_creates_directory(self, tmp_path):

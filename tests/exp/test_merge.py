@@ -18,7 +18,7 @@ from repro.exp import run_sweep
 from repro.exp.merge import merge_into
 from repro.exp.spec import CACHE_VERSION, SweepSpec, shard_cells
 from repro.exp.store import open_store
-from tests.helpers import write_legacy_cache
+from tests.helpers import tag_stored_engine, write_legacy_cache
 
 #: A fast 2-cell grid (1 KB vector-add, two policies).
 GRID = SweepSpec(apps=("vadd",), input_bytes=(1024,), policies=("fifo", "lru"))
@@ -87,20 +87,19 @@ class TestMerge:
         assert summary.identical == 2
 
     def test_engine_differing_rows_merge_as_identical(self, tmp_path):
-        # A reference cache and a fast cache of the same grid hold
-        # rows differing only in the recorded engine field; the merge
-        # must treat them as the identical cells they are (backends
-        # are result-equivalent), not as conflicts.
-        from dataclasses import replace
-
+        # A store written by the retired fast backend holds rows that
+        # differ from reference rows only in the recorded engine
+        # field; the merge must treat them as the identical cells they
+        # are, not as conflicts.
         run_sweep(GRID, cache_dir=tmp_path / "ref")
-        run_sweep(replace(GRID, engine="fast"), cache_dir=tmp_path / "fast")
+        rows = run_sweep(GRID, cache_dir=tmp_path / "fast").rows
+        for row in rows:
+            tag_stored_engine(tmp_path / "fast", row.key, "fast")
         summary = merge_into(
             tmp_path / "merged", [tmp_path / "ref", tmp_path / "fast"]
         )
         assert summary.written == 2
         assert summary.identical == 2
-        # First-seen provenance wins in the merged store.
         assert _files(tmp_path / "merged") == _files(tmp_path / "ref")
 
     def test_rows_json_dump_is_a_valid_source(self, shard_caches, tmp_path):

@@ -174,6 +174,31 @@ class TestCliSpelling:
             main(["record", str(tmp_path / "t.gz"),
                   "--app", "synthetic", "--kb", "2", "4"])
 
+    def test_record_directory_target_refused_even_with_force(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import repro.cli as cli
+
+        monkeypatch.setattr(
+            cli, "record_cell",
+            lambda *a, **k: pytest.fail("recorded despite a doomed OUT"),
+        )
+        for extra in ([], ["--force"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["record", str(tmp_path), "--app", "synthetic",
+                      "--kb", "2", *extra])
+            assert excinfo.value.code == 2
+            assert "is a directory" in capsys.readouterr().err
+
+    def test_record_existing_target_names_force_flag(self, tmp_path, capsys):
+        trace = tmp_path / "t.gz"
+        trace.write_bytes(b"keep")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["record", str(trace), "--app", "synthetic", "--kb", "2"])
+        assert excinfo.value.code == 2
+        assert "pass --force to overwrite" in capsys.readouterr().err
+        assert trace.read_bytes() == b"keep"
+
     def test_record_rejects_trace_app(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["record", str(tmp_path / "t.gz"), "--app", "trace",

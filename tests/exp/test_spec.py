@@ -55,6 +55,12 @@ class TestCellConfig:
         with pytest.raises(ReproError):
             CellConfig(dpram_bytes=0)
 
+    def test_negative_seed_rejected(self):
+        # The workload generators need a non-negative seed; without
+        # this check a sweep died mid-run with a numpy traceback.
+        with pytest.raises(ReproError, match="seed must be >= 0, got -1"):
+            CellConfig(seed=-1)
+
     def test_dict_round_trip(self):
         config = CellConfig(
             app="idea", input_bytes=4096, policy="lru", tlb_capacity=4

@@ -20,7 +20,7 @@ from repro.exp.merge import migrate_store
 from repro.exp.report import report_from_cache
 from repro.exp.spec import CACHE_VERSION, SweepSpec, grid_fingerprint
 from repro.exp.store import SqliteStore, is_sqlite_file, open_store
-from tests.helpers import write_legacy_cache
+from tests.helpers import tag_stored_engine, write_legacy_cache
 
 #: A fast 2-cell grid (1 KB vector-add, two policies).
 GRID = SweepSpec(apps=("vadd",), input_bytes=(1024,), policies=("fifo", "lru"))
@@ -59,11 +59,10 @@ class TestProtocolConformance:
         with open_store(path) as store:
             for row in rows:
                 assert store.get(row.config) == row
-                # Engine is excluded from cell identity: a row priced
-                # by either backend serves both.
-                other = replace(row.config, engine="fast")
-                hit = store.get(other)
-                assert hit is not None and hit.key == row.key
+        # A row written by the retired fast backend still serves.
+        tag_stored_engine(path, rows[0].key, "fast")
+        with open_store(path) as store:
+            assert store.get(rows[0].config) == rows[0]
             assert store.get(replace(rows[0].config, input_bytes=4096)) is None
 
     def test_iter_classified_key_sorted(self, populated):

@@ -206,6 +206,19 @@ def tamper_store(path, key, version=None, payload=None):
     db.close()
 
 
+def tag_stored_engine(path, key, engine):
+    """Rewrite *key*'s stored row to record ``"engine": engine`` — a
+    row as written before the second engine backend was retired
+    (``"fast"``), or one no writer makes (any other value)."""
+    with open_store(path) as store:
+        row = store.row(key).to_dict()
+    row["config"]["engine"] = engine
+    tamper_store(
+        path, key,
+        payload=json.dumps({"version": CACHE_VERSION, "result": row}),
+    )
+
+
 def scale_metric(path, key, field="vim_ms", factor=1.5):
     """Append a version of *key*'s row with *field* scaled by *factor*."""
     with open_store(path) as store:

@@ -18,7 +18,7 @@ benchmark row, and they are treated differently:
   (exit 1) regardless of direction — and a key that *vanishes* is
   lost gate coverage, which fails the same way.  Keys prefixed
   ``wall_`` are the exception: they hold wall-clock-derived numbers
-  (e.g. the paired engine benches' ``wall_speedup_vs_reference``),
+  (e.g. a ``wall_speedup_vs_reference`` ratio of two timed paths),
   which are as noisy as ``stats.mean`` — they are reported alongside
   it but never gate, not even under ``--fail-on-wall`` (a ratio has
   no regression direction a tolerance could classify).
