@@ -6,6 +6,7 @@ regressions in simulator performance are visible in CI.  Unlike the
 figure benches these use real repeated timing rounds.
 """
 
+from repro.core.system import System
 from repro.exp import CellConfig, run_cell, run_sweep
 from repro.sim.clock import ClockDomain
 from repro.sim.engine import Engine
@@ -50,6 +51,28 @@ def test_micro_full_vim_cell(benchmark):
 
     result = benchmark(run)
     assert result.vim_speedup > 0
+
+
+def test_micro_adpcm_cell(benchmark, monkeypatch):
+    # adpcm 4 KB: most of its edges are inert compute-phase edges, so
+    # the executed-edge count in extra_info gates the edge collapse —
+    # a regression there changes a deterministic number, not just wall
+    # time.
+    config = CellConfig(app="adpcm", input_bytes=4 * 1024, seed=1)
+    domains = []
+    build = System.build_clock_domains
+
+    def capture(system, *args):
+        built = build(system, *args)
+        domains.extend(built)
+        return built
+
+    monkeypatch.setattr(System, "build_clock_domains", capture)
+    expected = run_cell(config)
+    monkeypatch.undo()
+    benchmark.extra_info["edges"] = sum(d.cycles for d in domains)
+    benchmark.extra_info["edges_executed"] = sum(d.executed for d in domains)
+    assert benchmark(run_cell, config) == expected
 
 
 def test_micro_serial_sweep_dispatch(benchmark):

@@ -1,8 +1,13 @@
 """Portable coprocessor framework.
 
-A coprocessor core is written as a Python generator: **each ``yield``
-is one rising edge of the core's clock**, playing the role of one state
-of the VHDL finite state machine in Figure 5.  Cores interact with the
+A coprocessor core is written as a Python generator: **a bare
+``yield`` is one rising edge of the core's clock**, playing the role of
+one state of the VHDL finite state machine in Figure 5, and **yielding
+a positive int** ``n`` — the token :meth:`Coprocessor.compute` yields —
+is ``n`` edges of datapath work on which the core touches no port.
+The token lets the clock domain run such a compute phase as one event
+(see :mod:`repro.sim.clock`); a core made of bare yields is timed
+exactly the same, edge by edge.  Cores interact with the
 outside world only through the CP_* port helpers below, so — like the
 paper's VHDL cores — they contain *no physical address and no knowledge
 of the interface memory size*, and run unchanged against:
@@ -32,9 +37,11 @@ from typing import Generator, Iterator
 
 from repro.coproc.ports import DATA_BITS, PARAM_OBJECT, CoprocessorPorts
 from repro.errors import CoprocessorError
+from repro.sim.clock import UNBOUNDED
 
-#: Generator type produced by coprocessor behaviours.
-Behavior = Generator[None, None, None]
+#: Generator type produced by coprocessor behaviours: each step yields
+#: None (one edge) or a positive edge count (a compute token).
+Behavior = Generator[int | None, None, None]
 
 _DATA_MASK = (1 << DATA_BITS) - 1
 
@@ -59,6 +66,7 @@ class Coprocessor:
         self.started = False
         self.finished = False
         self.cycles = 0
+        self._compute_left = 0
 
     # -- wiring ---------------------------------------------------------
 
@@ -78,7 +86,8 @@ class Coprocessor:
         """One rising edge of the core clock.
 
         The core idles until ``CP_START``; afterwards each edge advances
-        the behaviour generator by one step.  Exhaustion of the
+        the behaviour generator by one step, or counts down the edges
+        of the compute token it last yielded.  Exhaustion of the
         generator asserts ``CP_FIN`` automatically.
         """
         ports = self._require_ports()
@@ -90,10 +99,32 @@ class Coprocessor:
             self.started = True
             self._gen = self.behavior()
         self.cycles += 1
+        if self._compute_left:
+            self._compute_left -= 1
+            return
         try:
-            next(self._gen)  # type: ignore[arg-type]
+            edges = next(self._gen)  # type: ignore[arg-type]
         except StopIteration:
             self.finish()
+            return
+        if edges is not None and edges > 1:
+            self._compute_left = edges - 1
+
+    def inert_edges(self) -> int:
+        """Upcoming edges on which :meth:`tick` only counts.
+
+        The rest of a compute token; unbounded once finished.  Zero
+        before the start, because ``CP_START`` is driven from outside.
+        """
+        if self.finished:
+            return UNBOUNDED
+        return self._compute_left if self.started else 0
+
+    def credit_edges(self, edges: int) -> None:
+        """Account *edges* skipped inert edges (see :meth:`inert_edges`)."""
+        if not self.finished:
+            self.cycles += edges
+            self._compute_left -= edges
 
     def behavior(self) -> Behavior:
         """The core FSM; subclasses must override."""
@@ -106,6 +137,7 @@ class Coprocessor:
         self.started = False
         self.finished = False
         self.cycles = 0
+        self._compute_left = 0
 
     def finish(self) -> None:
         """Assert CP_FIN, signalling end of operation to the interface."""
@@ -174,7 +206,11 @@ class Coprocessor:
         self._require_ports().cp_param_done.set(1)
         yield
 
-    def compute(self, cycles: int) -> Iterator[None]:
-        """Model *cycles* clock cycles of datapath computation."""
-        for _ in range(cycles):
-            yield
+    def compute(self, cycles: int) -> Iterator[int]:
+        """Model *cycles* clock cycles of datapath computation.
+
+        Yields one *cycles*-edge token, which :meth:`tick` spends edge
+        by edge; ``compute(0)`` takes no edge at all.
+        """
+        if cycles > 0:
+            yield cycles

@@ -281,7 +281,7 @@ class CoprocessorSession:
                 System.start_clocks(self.domains)
                 hw_start = system.engine.now
                 arrived = system.engine.run_until(
-                    lambda: bool(system.interrupts.pending_unmasked()),
+                    lambda: system.interrupts.pending_unmasked_mask != 0,
                     max_time_ps=deadline,
                 )
                 measurement.add_hw(system.engine.now - hw_start)

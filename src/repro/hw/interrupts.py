@@ -31,6 +31,9 @@ class InterruptController:
         self._masked = [False] * num_lines
         self._handlers: dict[int, Handler] = {}
         self.raised_count = [0] * num_lines
+        #: Bit *line* set while that line is pending and unmasked, so
+        #: "is any interrupt deliverable?" is one integer test.
+        self.pending_unmasked_mask = 0
 
     def _check(self, line: int) -> None:
         if not 0 <= line < self.num_lines:
@@ -54,21 +57,27 @@ class InterruptController:
         if not self._pending[line]:
             self._pending[line] = True
             self.raised_count[line] += 1
+            if not self._masked[line]:
+                self.pending_unmasked_mask |= 1 << line
 
     def clear(self, line: int) -> None:
         """De-assert a line (done by the handler after servicing)."""
         self._check(line)
         self._pending[line] = False
+        self.pending_unmasked_mask &= ~(1 << line)
 
     def mask(self, line: int) -> None:
         """Prevent a line from being dispatched."""
         self._check(line)
         self._masked[line] = True
+        self.pending_unmasked_mask &= ~(1 << line)
 
     def unmask(self, line: int) -> None:
         """Allow a line to be dispatched again."""
         self._check(line)
         self._masked[line] = False
+        if self._pending[line]:
+            self.pending_unmasked_mask |= 1 << line
 
     def is_pending(self, line: int) -> bool:
         """True if *line* is asserted (whether or not masked)."""

@@ -18,6 +18,7 @@ from __future__ import annotations
 from repro.coproc.ports import CoprocessorPorts
 from repro.errors import CapacityError, HardwareError
 from repro.hw.dpram import DualPortRam
+from repro.sim.clock import UNBOUNDED
 
 
 class DirectInterface:
@@ -95,6 +96,25 @@ class DirectInterface:
             else:
                 self._pending = True
                 self._remaining = latency
+
+    def inert_edges(self) -> int:
+        """Upcoming edges on which :meth:`tick` only counts ``ticks``.
+
+        Unbounded with no access in flight, no new request and no FIN
+        left to latch; zero otherwise.
+        """
+        if self._pending:
+            return 0
+        ports = self.ports
+        if ports.cp_access.value and ports.cp_req.value != self._last_req:
+            return 0
+        if ports.cp_fin.value and not self.done:
+            return 0
+        return UNBOUNDED
+
+    def credit_edges(self, edges: int) -> None:
+        """Account *edges* skipped inert edges (see :meth:`inert_edges`)."""
+        self.ticks += edges
 
     def _fire(self) -> None:
         ports = self.ports

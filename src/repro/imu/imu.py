@@ -40,6 +40,7 @@ from repro.hw.dpram import DualPortRam
 from repro.hw.interrupts import InterruptController
 from repro.imu.registers import AddressRegister, ControlRegister, StatusRegister
 from repro.imu.tlb import Tlb
+from repro.sim.clock import UNBOUNDED
 
 #: Interrupt line used by the IMU (INT_PLD in Figure 4).
 INT_PLD_LINE = 0
@@ -161,6 +162,28 @@ class Imu:
                 self._fire()
         elif self.state is ImuState.FAULT:
             self.fault_stall_cycles += 1
+
+    def inert_edges(self) -> int:
+        """Upcoming edges on which :meth:`tick` only counts ``ticks``.
+
+        Unbounded while the FSM is IDLE with no new request and no
+        FIN or parameter release waiting; zero otherwise.  Translation
+        countdowns and fault stalls are always executed edge by edge.
+        """
+        if self.state is not ImuState.IDLE:
+            return 0
+        ports = self.ports
+        if ports.cp_access.value and ports.cp_req.value != self._last_req:
+            return 0
+        if ports.cp_fin.value and not self.sr.done:
+            return 0
+        if ports.cp_param_done.value and not self._param_handled:
+            return 0
+        return UNBOUNDED
+
+    def credit_edges(self, edges: int) -> None:
+        """Account *edges* skipped inert edges (see :meth:`inert_edges`)."""
+        self.ticks += edges
 
     def tag(self, obj: int) -> int:
         """Widen a CP_OBJ value with the active ASID (CAM match tag).

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.coproc.base import Coprocessor
+from repro.coproc.base import Behavior, Coprocessor
 from repro.errors import CoprocessorError
 from tests.helpers import ScriptCore, make_direct_rig, make_imu_rig
 
@@ -57,6 +57,45 @@ class TestLifecycle:
         cycles = rig.core.cycles
         rig.core.tick()
         assert rig.core.cycles == cycles
+
+
+class _BareYieldCore(ScriptCore):
+    """The same script, but each compute phase spelt as bare yields."""
+
+    def compute(self, cycles: int) -> Behavior:
+        for _ in range(cycles):
+            yield
+
+
+class TestComputeTokens:
+    def test_compute_zero_takes_no_edge(self):
+        with_zero = make_imu_rig([("compute", 0), ("compute", 2)])
+        without = make_imu_rig([("compute", 2)])
+        with_zero.run()
+        without.run()
+        assert with_zero.core.cycles == without.core.cycles == 3
+        assert with_zero.domain.cycles == without.domain.cycles
+        # compute(0) returns on the very first edge.
+        assert with_zero.core.stamps == [1, 3]
+
+    def test_compute_yields_one_token(self):
+        core = ScriptCore([])
+        assert list(core.compute(7)) == [7]
+        assert list(core.compute(0)) == []
+
+    def test_bare_yield_core_is_cycle_identical(self):
+        script = [("compute", 30), ("compute", 1), ("compute", 12)]
+        token = make_imu_rig(script)
+        bare = make_imu_rig(script, core_factory=_BareYieldCore)
+        token.run()
+        bare.run()
+        assert bare.core.stamps == token.core.stamps
+        assert bare.core.cycles == token.core.cycles
+        assert bare.domain.cycles == token.domain.cycles
+        assert bare.imu.ticks == token.imu.ticks
+        # Only the token core's compute phases collapsed.
+        assert bare.domain.executed == bare.domain.cycles
+        assert token.domain.executed < token.domain.cycles
 
 
 class TestParamHelpers:

@@ -5,10 +5,12 @@ from __future__ import annotations
 
 import json
 import sqlite3
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from repro.coproc.base import Behavior, Coprocessor
+from repro.core.system import System
 from repro.exp.spec import CACHE_VERSION
 from repro.exp.store import open_store
 from repro.hw.dpram import DualPortRam
@@ -98,12 +100,14 @@ def make_imu_rig(
     core_mhz: float | None = None,
     imu_mhz: float = 40.0,
     tlb_capacity: int | None = None,
+    core_factory=None,
 ) -> ImuRig:
     """Build an engine + IMU + scripted core rig.
 
     With ``core_mhz`` unset, core and IMU share one domain (IMU ticked
     first, as in the real single-domain designs); otherwise the core
-    gets its own, slower domain.
+    gets its own, slower domain.  *core_factory* (default
+    :class:`ScriptCore`) builds the core from the script.
     """
     engine = Engine()
     interrupts = InterruptController()
@@ -116,7 +120,7 @@ def make_imu_rig(
         sync_cycles=sync_cycles,
         tlb_capacity=tlb_capacity,
     )
-    core = ScriptCore(script)
+    core = (core_factory or ScriptCore)(script)
     core.bind(imu)
     domain = ClockDomain(engine, "imu", mhz(imu_mhz))
     domain.attach(imu.tick)
@@ -144,6 +148,56 @@ def make_direct_rig(
     domain.attach(iface.tick)
     domain.attach(core.tick)
     return engine, dpram, iface, core, domain
+
+
+def _no_op() -> None:
+    """A plain edge handler: it declares nothing, so its domain never
+    collapses an edge."""
+
+
+@contextmanager
+def clocked_runs(per_edge: bool = False):
+    """Record every clock build of the runs inside the block.
+
+    Wraps :meth:`System.build_clock_domains`; yields a list that gains
+    one ``(domains, iface, core)`` triple per build.  With *per_edge*
+    each built domain also gets a no-op handler attached, which turns
+    inert-edge collapse off — the per-edge oracle a collapsed run must
+    match exactly.
+    """
+    builds: list[tuple[list[ClockDomain], object, Coprocessor]] = []
+    original = System.build_clock_domains
+
+    def build(system, bitstream, iface_tick, core_tick):
+        domains = original(system, bitstream, iface_tick, core_tick)
+        if per_edge:
+            for domain in domains:
+                domain.attach(_no_op)
+        builds.append((domains, iface_tick.__self__, core_tick.__self__))
+        return domains
+
+    System.build_clock_domains = build
+    try:
+        yield builds
+    finally:
+        System.build_clock_domains = original
+
+
+def edge_counts(builds) -> list[dict[str, object]]:
+    """Every counter a collapsed edge must leave at its per-edge value."""
+    counts = []
+    for domains, iface, core in builds:
+        entry = {
+            "domains": {domain.name: domain.cycles for domain in domains},
+            "iface_ticks": iface.ticks,
+            "core_cycles": core.cycles,
+            "core_compute_left": core._compute_left,
+        }
+        if isinstance(iface, Imu):
+            entry["translate_cycles"] = iface.translate_cycles
+            entry["fault_stall_cycles"] = iface.fault_stall_cycles
+        counts.append(entry)
+    return counts
 
 
 # ----------------------------------------------------------------------

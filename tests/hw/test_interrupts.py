@@ -1,6 +1,8 @@
 """Unit tests for the interrupt controller."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import HardwareError
 from repro.hw.interrupts import InterruptController
@@ -117,3 +119,23 @@ class TestDispatch:
         ic.raise_line(1)
         ic.dispatch()
         assert order == [1, 2]
+
+
+class TestPendingUnmaskedMask:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["raise_line", "clear", "mask", "unmask"]),
+                st.integers(min_value=0, max_value=7),
+            ),
+            max_size=40,
+        )
+    )
+    def test_mask_agrees_with_pending_unmasked(self, ops):
+        ic = InterruptController()
+        for op, line in ops:
+            getattr(ic, op)(line)
+            pending = ic.pending_unmasked()
+            assert bool(ic.pending_unmasked_mask) == bool(pending)
+            assert ic.pending_unmasked_mask == sum(1 << n for n in pending)
