@@ -17,6 +17,14 @@ contract: two sources claiming the *same* config hash with *different*
 results mean something is broken (non-deterministic cell, hand-edited
 file, mixed-up directories); the merge refuses loudly instead of
 silently picking a winner.
+
+The merge is **one pass inside one transaction**: each key is checked
+against the other sources and the destination, and its first-seen row
+is written as soon as the key has been checked, so every source row is
+decoded, verified, hashed and (if new) encoded exactly once.  The
+writes commit together at the end; a conflict, an empty merge or any
+exception — an interrupt included — rolls them all back, and a
+destination the merge created is removed again.
 """
 
 from __future__ import annotations
@@ -33,6 +41,10 @@ from repro.exp.store import (
     open_source,
     open_store,
 )
+
+#: Files SQLite keeps beside a database: the WAL, its shared-memory
+#: index, and a rollback journal.
+_SIDE_FILES = ("-wal", "-shm", "-journal")
 
 
 @dataclass(frozen=True)
@@ -103,19 +115,18 @@ class MergeSummary:
         )
 
 
-def _keyed(path: Path, index: int, skip_counter: list[int] | None):
+def _keyed(path: Path, index: int, skip_counter: list[int]):
     """One source's loadable rows, key-sorted, decorated for the heap
     join; unloadable entries are counted as skips."""
     with open_source(path, legacy=True) as source:
         for origin, _status, result in source.iter_classified():
             if result is None:
-                if skip_counter is not None:
-                    skip_counter[0] += 1
+                skip_counter[0] += 1
                 continue
             yield result.key, index, origin, result
 
 
-def _joined(sources: list[Path], skip_counter: list[int] | None):
+def _joined(sources: list[Path], skip_counter: list[int]):
     """All sources joined into one key-grouped sorted stream.
 
     Yields ``(key, group)`` where *group* iterates
@@ -139,6 +150,12 @@ def merge_into(
 ) -> MergeSummary:
     """Merge *sources* (stores and/or row dumps) into the store *dest*.
 
+    One streaming pass: every key is cross-checked against the other
+    sources and the destination, and its first-seen row is written as
+    soon as the key has been checked.  All writes share one
+    transaction, committed only once every source has been read
+    without a conflict.
+
     Parameters
     ----------
     dest : str or Path
@@ -149,9 +166,10 @@ def merge_into(
         SQLite stores, ``repro sweep --json`` dump files and/or legacy
         JSON cache directories, merged in order.
     dry_run : bool
-        Read and cross-check everything, write nothing.  Conflicts are
-        returned on the summary instead of raised, so CI can pre-flight
-        a shard recombination and report all problems at once.
+        Read and cross-check everything, write nothing (a missing
+        destination is not even created).  Conflicts are returned on
+        the summary instead of raised, so CI can pre-flight a shard
+        recombination and report all problems at once.
 
     Returns
     -------
@@ -164,10 +182,12 @@ def merge_into(
     ReproError
         If a source is missing or malformed, or (non-dry) if any two
         entries claim the same config hash with different results.
-        All conflicts are collected and reported together, and
-        **nothing is written until every source has been read and
-        checked** — a failed merge leaves the destination exactly as
-        it was, so a later report cannot silently render a first-seen
+        All conflicts are collected and reported together.  On any
+        failure — a conflict, nothing to merge, a write error, an
+        interrupt — the transaction is rolled back, and a destination
+        the merge created is removed along with any parent directories
+        it created: a failed merge leaves the destination exactly as it
+        was, so a later report cannot silently render a first-seen
         winner.
     """
     dest_path = Path(dest)
@@ -180,42 +200,36 @@ def merge_into(
     for path in paths:
         if not path.exists():
             raise ReproError(f"merge source {path} does not exist")
-    # Don't create the destination yet: a merge that fails validation
-    # or conflict detection (and any --dry-run) must leave the
-    # filesystem untouched.
-    dest_store: SqliteStore | None = (
-        open_store(dest_path) if dest_path.exists() else None
-    )
+    if dry_run:
+        if not dest_path.exists():
+            return _merge(dest_path, None, paths, dry_run=True)
+        with open_store(dest_path) as dest_store:
+            return _merge(dest_path, dest_store, paths, dry_run=True)
+    fresh = not dest_path.exists()
+    created_dirs = [
+        parent for parent in dest_path.parents if not parent.exists()
+    ]
     try:
-        summary = _cross_check(dest_path, dest_store, paths, dry_run)
-        if dry_run:
-            return summary
-        # Pass 2: all sources agree; now create the destination and
-        # write the first-seen row of every key it does not already
-        # hold.
-        if dest_store is None:
-            dest_store = open_store(dest_path, create=True)
-        for _key, group in _joined(paths, None):
-            _key2, _index, _origin, result = next(group)
-            if dest_store.get(result.config) is None:
-                dest_store.put(result)
-            for _rest in group:
-                pass
-        return summary
-    finally:
-        if dest_store is not None:
-            dest_store.close()
+        with open_store(dest_path, create=True) as dest_store, \
+                dest_store.transaction():
+            return _merge(dest_path, dest_store, paths, dry_run=False)
+    except BaseException:
+        if fresh:
+            _remove_store(dest_path, created_dirs)
+        raise
 
 
-def _cross_check(
+def _merge(
     dest_path: Path,
     dest_store: SqliteStore | None,
     paths: list[Path],
     dry_run: bool,
 ) -> MergeSummary:
-    """Pass 1 of :func:`merge_into` (read-only): stream-join every
-    source, cross-check it against the others and the destination,
-    and count what a merge would write."""
+    """The single pass of :func:`merge_into`: stream-join every source,
+    cross-check each key against the other sources and *dest_store*,
+    and — unless *dry_run* — put its first-seen row if *dest_store*
+    lacks it.  A missing *dest_store* (dry run into a new path) holds
+    nothing."""
     skip_counter = [0]
     written = identical = 0
     usable = False
@@ -223,10 +237,9 @@ def _cross_check(
     for key, group in _joined(paths, skip_counter):
         usable = True
         _key, _index, first_origin, first_result = next(group)
-        existing = (
-            dest_store.get(first_result.config)
-            if dest_store is not None else None
-        )
+        # By key, not by config: a loadable row's key is verified to
+        # be its config's hash, so this is get() without re-hashing.
+        existing = dest_store.row(key) if dest_store is not None else None
         conflicted = False
         if existing is not None and existing != first_result:
             conflicts.append(MergeConflict(
@@ -251,6 +264,8 @@ def _cross_check(
                     key=key, source=origin, existing=first_origin,
                 ))
                 conflicted = True
+        if existing is None and not conflicted and not dry_run:
+            dest_store.put(first_result)
     if conflicts and not dry_run:
         detail = "\n  ".join(str(conflict) for conflict in conflicts)
         raise ReproError(
@@ -274,6 +289,18 @@ def _cross_check(
         dry_run=dry_run,
         conflicts=tuple(conflicts),
     )
+
+
+def _remove_store(path: Path, created_dirs: list[Path]) -> None:
+    """Delete a store a failed merge created, with its SQLite side
+    files and the (deepest-first) parent directories made for it."""
+    for name in (path, *(f"{path}{suffix}" for suffix in _SIDE_FILES)):
+        Path(name).unlink(missing_ok=True)
+    for directory in created_dirs:
+        try:
+            directory.rmdir()
+        except OSError:
+            break  # no longer empty: someone else is using it
 
 
 def migrate_store(source: str | Path, dest: str | Path) -> MergeSummary:

@@ -32,13 +32,13 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
 from repro.errors import ReproError
 from repro.exp.results import REPLICATED_COLUMNS, CellResult
-from repro.exp.spec import CellConfig
+from repro.exp.spec import CONFIG_FIELDS
 from repro.exp.store import SqliteStore, open_store
 
 #: Output formats ``render_report`` / ``render_table`` understand
@@ -364,7 +364,7 @@ def default_columns(rows) -> tuple[str, ...]:
 
 def group_axes() -> tuple[str, ...]:
     """Config axes a report can group along (``--group-by`` choices)."""
-    return tuple(f.name for f in fields(CellConfig))
+    return CONFIG_FIELDS
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,7 @@ JSON), which is what makes parallel and serial sweeps byte-comparable.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 from repro.errors import ReproError
 from repro.exp.spec import CellConfig
@@ -171,7 +171,7 @@ class CellResult:
             All fields, with the config nested as its own dict and the
             per-tenant tuples as lists (the JSON encoding).
         """
-        data = asdict(self)
+        data = {name: getattr(self, name) for name in _RESULT_FIELDS}
         data["config"] = self.config.to_dict()
         for name in _TUPLE_FIELDS:
             data[name] = list(data[name])
@@ -195,8 +195,7 @@ class CellResult:
             An exact reconstruction — floats round-trip through
             ``repr`` in JSON, so ``from_dict(to_dict(r)) == r``.
         """
-        names = {f.name for f in fields(cls)}
-        unknown = set(data) - names
+        unknown = data.keys() - _RESULT_NAMES
         if unknown:
             raise ReproError(f"unknown cell result fields: {sorted(unknown)}")
         payload = dict(data)
@@ -205,6 +204,13 @@ class CellResult:
             if name in payload:
                 payload[name] = tuple(payload[name])
         return cls(**payload)
+
+
+#: :class:`CellResult` field names in declaration order — the keys of
+#: :meth:`CellResult.to_dict`.  Apart from the nested config and the
+#: :data:`_TUPLE_FIELDS`, every field is a primitive.
+_RESULT_FIELDS = tuple(field.name for field in fields(CellResult))
+_RESULT_NAMES = frozenset(_RESULT_FIELDS)
 
 
 def replicate_summary(values: list[float]) -> tuple[float, float]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 from repro.errors import ReproError
@@ -358,7 +358,7 @@ class CellConfig:
         ``--json`` dump and digest written so far carries that key,
         so rows stay byte-identical although only one engine exists.
         """
-        data = asdict(self)
+        data = {name: getattr(self, name) for name in CONFIG_FIELDS}
         data["engine"] = "reference"
         return data
 
@@ -374,8 +374,7 @@ class CellConfig:
         engine = data.pop("engine", "reference")
         if engine not in ("reference", "fast"):
             raise ReproError(f"unknown engine {engine!r} in cell config")
-        names = {f.name for f in fields(cls)}
-        unknown = set(data) - names
+        unknown = data.keys() - _CONFIG_NAMES
         if unknown:
             raise ReproError(f"unknown cell config fields: {sorted(unknown)}")
         return cls(**data)
@@ -420,6 +419,19 @@ class CellConfig:
         return "/".join(parts)
 
 
+#: :class:`CellConfig` field names in declaration order — the keys of
+#: :meth:`CellConfig.to_dict`.  Every field is a primitive, so the
+#: encoders build their dicts straight from these names instead of
+#: walking (and deep-copying) the dataclass per row.
+CONFIG_FIELDS = tuple(field.name for field in fields(CellConfig))
+_CONFIG_NAMES = frozenset(CONFIG_FIELDS)
+
+#: The fields :func:`config_hash` covers (the trace's digest, not its
+#: path) and, without the seed, those :func:`replica_hash` covers.
+_HASHED_FIELDS = tuple(name for name in CONFIG_FIELDS if name != "trace_path")
+_REPLICA_FIELDS = tuple(name for name in _HASHED_FIELDS if name != "seed")
+
+
 def _size_label(nbytes: int) -> str:
     if nbytes % 1024 == 0:
         return f"{nbytes // 1024}KB"
@@ -437,8 +449,7 @@ def config_hash(config: CellConfig) -> str:
     is hashed in its stead, so moving a trace file never forks the
     cache while changing its contents always does.
     """
-    config_dict = asdict(config)
-    config_dict.pop("trace_path", None)
+    config_dict = {name: getattr(config, name) for name in _HASHED_FIELDS}
     payload = {"version": CACHE_VERSION, "config": config_dict}
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
@@ -454,9 +465,7 @@ def replica_hash(config: CellConfig) -> str:
     like :func:`config_hash`) so replicate families align across seed
     sets while every other axis still separates rows.
     """
-    config_dict = asdict(config)
-    config_dict.pop("trace_path", None)
-    config_dict.pop("seed", None)
+    config_dict = {name: getattr(config, name) for name in _REPLICA_FIELDS}
     payload = {"version": CACHE_VERSION, "replica": config_dict}
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]

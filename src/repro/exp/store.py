@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import sqlite3
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -209,9 +210,34 @@ class SqliteStore:
             )
         except sqlite3.Error as error:
             raise ReproError(f"cannot write to store {self.path}: {error}")
-        self._db.execute(
-            "UPDATE runs SET rows = rows + 1 WHERE run_id = ?", (run_id,)
-        )
+
+    @contextmanager
+    def transaction(self):
+        """Make every write inside the block one atomic unit.
+
+        The block's puts are committed together when it exits cleanly
+        and rolled back together — run record included — when it
+        raises, so an interrupted bulk write (``repro merge``) leaves
+        the store exactly as it was.  The write lock is taken up
+        front: a concurrent writer waits for the commit instead of
+        failing mid-block.
+        """
+        try:
+            self._db.execute("BEGIN IMMEDIATE")
+        except sqlite3.Error as error:
+            raise ReproError(f"cannot write to store {self.path}: {error}")
+        try:
+            yield self
+            self._db.execute("COMMIT")
+        except BaseException as error:
+            if self._db.in_transaction:
+                self._db.execute("ROLLBACK")
+            self._run_id = None  # its run row was rolled back with it
+            if isinstance(error, sqlite3.Error):
+                raise ReproError(
+                    f"cannot write to store {self.path}: {error}"
+                ) from error
+            raise
 
     def _parse(self, key: str, payload: str) -> CellResult | None:
         try:
@@ -306,9 +332,17 @@ class SqliteStore:
         return row is not None
 
     def runs(self) -> tuple[RunRecord, ...]:
-        """Recorded write sessions, oldest first."""
+        """Recorded write sessions, oldest first.
+
+        A run's row count is derived from the results it wrote, so a
+        put is a single write; the ``runs.rows`` column stays in the
+        schema, unused, for stores shared with older checkouts.
+        """
         cursor = self._db.execute(
-            "SELECT run_id, created_utc, rows FROM runs ORDER BY run_id"
+            "SELECT runs.run_id, runs.created_utc, COALESCE(written.n, 0) "
+            "FROM runs LEFT JOIN (SELECT run_id, COUNT(*) AS n FROM results "
+            "GROUP BY run_id) AS written ON written.run_id = runs.run_id "
+            "ORDER BY runs.run_id"
         )
         return tuple(
             RunRecord(run_id=run_id, created=created, rows=rows)

@@ -10,6 +10,8 @@ these tests also pin what ``repro migrate`` accepts and skips.
 """
 
 import json
+import sqlite3
+from pathlib import Path
 
 import pytest
 
@@ -17,11 +19,15 @@ from repro.errors import ReproError
 from repro.exp import run_sweep
 from repro.exp.merge import merge_into
 from repro.exp.spec import CACHE_VERSION, SweepSpec, shard_cells
-from repro.exp.store import open_store
-from tests.helpers import tag_stored_engine, write_legacy_cache
+from repro.exp.results import CellResult
+from repro.exp.store import SqliteStore, open_store
+from tests.helpers import put_rows, tag_stored_engine, write_legacy_cache
 
 #: A fast 2-cell grid (1 KB vector-add, two policies).
 GRID = SweepSpec(apps=("vadd",), input_bytes=(1024,), policies=("fifo", "lru"))
+
+#: A committed 4-row ``--json`` dump with distinct keys (no simulation).
+ROWS_DUMP = Path(__file__).with_name("fixtures") / "report_rows.json"
 
 
 def _files(path) -> list:
@@ -328,3 +334,75 @@ class TestDryRun:
         )
         assert summary.written == 1
         assert _files(dest) == before
+
+
+class TestAbortedMerge:
+    """A merge that dies mid-write leaves the destination as it was."""
+
+    @staticmethod
+    def _fail_third_put(monkeypatch, error):
+        real_put = SqliteStore.put
+        calls = []
+
+        def put(store, result):
+            calls.append(result.key)
+            if len(calls) == 3:
+                raise error
+            real_put(store, result)
+
+        monkeypatch.setattr(SqliteStore, "put", put)
+        return calls
+
+    @staticmethod
+    def _snapshot(path) -> tuple:
+        """Every stored row version and run record, raw."""
+        db = sqlite3.connect(path)
+        try:
+            return (
+                db.execute(
+                    "SELECT key, version, run_id, payload FROM results "
+                    "ORDER BY key, version"
+                ).fetchall(),
+                db.execute("SELECT * FROM runs ORDER BY run_id").fetchall(),
+            )
+        finally:
+            db.close()
+
+    @pytest.mark.parametrize(
+        "error", [ReproError("disk on fire"), KeyboardInterrupt()],
+        ids=["error", "interrupt"],
+    )
+    def test_existing_destination_keeps_its_rows_and_runs(
+        self, tmp_path, monkeypatch, error
+    ):
+        first = json.loads(ROWS_DUMP.read_text(encoding="utf-8"))[0]
+        dest = put_rows(
+            tmp_path / "dest.sqlite", [CellResult.from_dict(first)]
+        )
+        before = self._snapshot(dest)
+        calls = self._fail_third_put(monkeypatch, error)
+        with pytest.raises(type(error)):
+            merge_into(dest, [ROWS_DUMP])
+        assert len(calls) == 3  # the merge really was writing
+        assert self._snapshot(dest) == before
+        with open_store(dest) as store:
+            assert [run.rows for run in store.runs()] == [1]
+
+    @pytest.mark.parametrize(
+        "name", ["merged.sqlite", "new/deeper/merged.sqlite"]
+    )
+    def test_missing_destination_is_not_left_behind(
+        self, tmp_path, monkeypatch, name
+    ):
+        self._fail_third_put(monkeypatch, ReproError("disk on fire"))
+        with pytest.raises(ReproError, match="disk on fire"):
+            merge_into(tmp_path / name, [ROWS_DUMP])
+        assert list(tmp_path.iterdir()) == []  # no store, side file or dir
+
+    def test_dry_run_never_creates_a_nested_destination(self, tmp_path):
+        dest = tmp_path / "new" / "deeper" / "merged.sqlite"
+        summary = merge_into(dest, [ROWS_DUMP], dry_run=True)
+        assert summary.written == 4
+        assert list(tmp_path.iterdir()) == []
+        assert merge_into(dest, [ROWS_DUMP]).written == 4
+        assert len(_files(dest)) == 4
