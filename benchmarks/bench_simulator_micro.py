@@ -53,12 +53,8 @@ def test_micro_full_vim_cell(benchmark):
     assert result.vim_speedup > 0
 
 
-def test_micro_adpcm_cell(benchmark, monkeypatch):
-    # adpcm 4 KB: most of its edges are inert compute-phase edges, so
-    # the executed-edge count in extra_info gates the edge collapse —
-    # a regression there changes a deterministic number, not just wall
-    # time.
-    config = CellConfig(app="adpcm", input_bytes=4 * 1024, seed=1)
+def _run_capturing_domains(config, monkeypatch):
+    """Run *config* once; return its row and every clock domain built."""
     domains = []
     build = System.build_clock_domains
 
@@ -70,8 +66,32 @@ def test_micro_adpcm_cell(benchmark, monkeypatch):
     monkeypatch.setattr(System, "build_clock_domains", capture)
     expected = run_cell(config)
     monkeypatch.undo()
+    return expected, domains
+
+
+def test_micro_adpcm_cell(benchmark, monkeypatch):
+    # adpcm 4 KB: most of its edges are inert compute-phase edges or
+    # the detection and countdown edges of a TLB-hit access, so the
+    # executed-edge count in extra_info gates the edge collapse — a
+    # regression there changes a deterministic number, not just wall
+    # time (20,492 executed of 200,718).
+    config = CellConfig(app="adpcm", input_bytes=4 * 1024, seed=1)
+    expected, domains = _run_capturing_domains(config, monkeypatch)
     benchmark.extra_info["edges"] = sum(d.cycles for d in domains)
     benchmark.extra_info["edges_executed"] = sum(d.executed for d in domains)
+    assert benchmark(run_cell, config) == expected
+
+
+def test_micro_idea_cell(benchmark, monkeypatch):
+    # IDEA 2 KB: a 6 MHz core and a 24 MHz interface planned jointly,
+    # so both domains collapse across an access and a compute token.
+    # Per-domain executed edges are deterministic (interface 1,080 of
+    # 24,196; core 1,335 of 6,049).
+    config = CellConfig(app="idea", input_bytes=2 * 1024, seed=1)
+    expected, domains = _run_capturing_domains(config, monkeypatch)
+    for domain in domains:
+        benchmark.extra_info[f"edges.{domain.name}"] = domain.cycles
+        benchmark.extra_info[f"edges_executed.{domain.name}"] = domain.executed
     assert benchmark(run_cell, config) == expected
 
 

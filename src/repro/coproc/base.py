@@ -1,14 +1,25 @@
 """Portable coprocessor framework.
 
-A coprocessor core is written as a Python generator: **a bare
-``yield`` is one rising edge of the core's clock**, playing the role of
-one state of the VHDL finite state machine in Figure 5, and **yielding
-a positive int** ``n`` — the token :meth:`Coprocessor.compute` yields —
-is ``n`` edges of datapath work on which the core touches no port.
-The token lets the clock domain run such a compute phase as one event
-(see :mod:`repro.sim.clock`); a core made of bare yields is timed
-exactly the same, edge by edge.  Cores interact with the
-outside world only through the CP_* port helpers below, so — like the
+A coprocessor core is written as a Python generator that yields one of
+three things:
+
+* **a bare ``yield``** is one rising edge of the core's clock, playing
+  the role of one state of the VHDL finite state machine in Figure 5;
+* **a positive int** ``n`` — the token :meth:`Coprocessor.compute`
+  yields — is ``n`` edges of datapath work on which the core touches
+  no port;
+* **:data:`WAIT`** — the token :meth:`Coprocessor.read` and
+  :meth:`Coprocessor.write` yield after issuing a request — ends the
+  issuing edge and then waits: on every later edge the core samples
+  ``CP_TLBHIT`` and resumes the generator on the first edge that sees
+  it high, exactly where a ``while not hit: yield`` loop would.
+
+Both tokens let the clock domain collapse the edges in between (see
+:mod:`repro.sim.clock`): a compute phase declares its countdown, and a
+waiting core declares itself inert until ``CP_TLBHIT`` changes, so a
+TLB-hit access costs the interface's firing edge only.  A core made of
+bare yields is timed exactly the same, edge by edge.  Cores interact
+with the outside world only through the CP_* port helpers below, so — like the
 paper's VHDL cores — they contain *no physical address and no knowledge
 of the interface memory size*, and run unchanged against:
 
@@ -39,9 +50,20 @@ from repro.coproc.ports import DATA_BITS, PARAM_OBJECT, CoprocessorPorts
 from repro.errors import CoprocessorError
 from repro.sim.clock import UNBOUNDED
 
+
+class _Wait:
+    """Type of the :data:`WAIT` token."""
+
+    def __repr__(self) -> str:
+        return "WAIT"
+
+
+#: Token yielded after issuing an access: wait for ``CP_TLBHIT``.
+WAIT = _Wait()
+
 #: Generator type produced by coprocessor behaviours: each step yields
-#: None (one edge) or a positive edge count (a compute token).
-Behavior = Generator[int | None, None, None]
+#: None (one edge), a positive edge count (a compute token) or WAIT.
+Behavior = Generator[int | _Wait | None, None, None]
 
 _DATA_MASK = (1 << DATA_BITS) - 1
 
@@ -67,6 +89,7 @@ class Coprocessor:
         self.finished = False
         self.cycles = 0
         self._compute_left = 0
+        self._waiting = False
 
     # -- wiring ---------------------------------------------------------
 
@@ -86,15 +109,16 @@ class Coprocessor:
         """One rising edge of the core clock.
 
         The core idles until ``CP_START``; afterwards each edge advances
-        the behaviour generator by one step, or counts down the edges
-        of the compute token it last yielded.  Exhaustion of the
-        generator asserts ``CP_FIN`` automatically.
+        the behaviour generator by one step, counts down the edges of
+        the compute token it last yielded, or — after :data:`WAIT` —
+        samples ``CP_TLBHIT`` and resumes the generator once it is
+        high.  Exhaustion of the generator asserts ``CP_FIN``
+        automatically.
         """
-        ports = self._require_ports()
         if self.finished:
             return
         if not self.started:
-            if not ports.cp_start.value:
+            if not self._require_ports().cp_start.value:
                 return
             self.started = True
             self._gen = self.behavior()
@@ -102,29 +126,51 @@ class Coprocessor:
         if self._compute_left:
             self._compute_left -= 1
             return
+        if self._waiting:
+            if not self.ports.cp_tlbhit.value:
+                return
+            self._waiting = False
         try:
-            edges = next(self._gen)  # type: ignore[arg-type]
+            step = next(self._gen)  # type: ignore[arg-type]
         except StopIteration:
             self.finish()
             return
-        if edges is not None and edges > 1:
-            self._compute_left = edges - 1
+        if step is WAIT:
+            self._waiting = True
+        elif step is not None and step > 1:
+            self._compute_left = step - 1
 
     def inert_edges(self) -> int:
         """Upcoming edges on which :meth:`tick` only counts.
 
-        The rest of a compute token; unbounded once finished.  Zero
+        The rest of a compute token; unbounded while waiting for
+        ``CP_TLBHIT`` (its only input then) and once finished.  Zero
         before the start, because ``CP_START`` is driven from outside.
+
+        A waiting core is live only when ``CP_TLBHIT`` is high *and*
+        the interface has taken the request: until then a high line is
+        the previous access's, and the interface drops it before this
+        core's next edge — it ticks first on a shared clock, and runs
+        on a clock at least as fast otherwise (:class:`~repro.coproc.
+        bitstream.Bitstream` refuses a slower one).
         """
         if self.finished:
             return UNBOUNDED
-        return self._compute_left if self.started else 0
+        if not self.started:
+            return 0
+        if self._waiting:
+            ports = self.ports
+            if ports.cp_tlbhit.value and self.iface.last_req == ports.cp_req.value:
+                return 0
+            return UNBOUNDED
+        return self._compute_left
 
     def credit_edges(self, edges: int) -> None:
         """Account *edges* skipped inert edges (see :meth:`inert_edges`)."""
         if not self.finished:
             self.cycles += edges
-            self._compute_left -= edges
+            if not self._waiting:
+                self._compute_left -= edges
 
     def behavior(self) -> Behavior:
         """The core FSM; subclasses must override."""
@@ -138,6 +184,7 @@ class Coprocessor:
         self.finished = False
         self.cycles = 0
         self._compute_left = 0
+        self._waiting = False
 
     def finish(self) -> None:
         """Assert CP_FIN, signalling end of operation to the interface."""
@@ -146,31 +193,28 @@ class Coprocessor:
 
     # -- interface helpers (generators: cost is in core clock cycles) ----
 
-    def read(self, obj: int, addr: int, size: int = 4) -> Generator[None, None, int]:
+    def read(self, obj: int, addr: int, size: int = 4) -> Generator[object, None, int]:
         """Read ``size`` bytes at byte address *addr* of object *obj*.
 
-        The helper issues the request, then samples ``CP_TLBHIT`` every
-        core cycle; a TLB miss therefore stalls the core here, without
-        the core being aware of it — the paper's stall mechanism.
+        The helper issues the request, then yields :data:`WAIT`, so the
+        core samples ``CP_TLBHIT`` every later core cycle; a TLB miss
+        therefore stalls the core here, without the core being aware
+        of it — the paper's stall mechanism.
         """
         ports = self._require_ports()
         ports.issue(obj, addr, write=False, size=size)
-        yield
-        while not ports.cp_tlbhit.value:
-            yield
+        yield WAIT
         data = ports.cp_din.value
         ports.retire()
         return data
 
     def write(
         self, obj: int, addr: int, value: int, size: int = 4
-    ) -> Generator[None, None, None]:
+    ) -> Generator[object, None, None]:
         """Write ``size`` bytes of *value* at byte address *addr*."""
         ports = self._require_ports()
         ports.issue(obj, addr, write=True, data=value & _DATA_MASK, size=size)
-        yield
-        while not ports.cp_tlbhit.value:
-            yield
+        yield WAIT
         ports.retire()
 
     def read_param(self, index: int) -> Generator[None, None, int]:

@@ -61,12 +61,13 @@ class IdeaCore(Coprocessor):
                 int.from_bytes(raw[4:6], "big"),
                 int.from_bytes(raw[6:8], "big"),
             )
+            # The core touches no port between the rounds and the
+            # output transform, so they are one compute token.
             for round_index in range(8):
                 keys = tuple(subkeys[round_index * 6 : round_index * 6 + 6])
                 x = round_function(*x, keys)  # type: ignore[arg-type]
-                yield from self.compute(ROUND_CYCLES)
             x = output_transform(*x, tuple(subkeys[48:52]))  # type: ignore[arg-type]
-            yield from self.compute(FINAL_CYCLES)
+            yield from self.compute(8 * ROUND_CYCLES + FINAL_CYCLES)
             out = b"".join(v.to_bytes(2, "big") for v in x)
             yield from self.write(
                 OBJ_OUT, base, int.from_bytes(out[0:4], "little"), size=4

@@ -23,7 +23,7 @@ from repro.hw.memory import Flash, Sdram
 from repro.os.costs import CpuCostModel
 from repro.os.kernel import Kernel
 from repro.core.soc import EPXA1, SocConfig
-from repro.sim.clock import ClockDomain
+from repro.sim.clock import ClockDomain, link_peers
 from repro.sim.engine import Engine
 
 
@@ -63,9 +63,11 @@ class System:
         core on one clock, so a request issued on edge *n* is seen by
         the interface on edge *n+1* and the core samples results after
         the interface has driven them.  Dual-domain designs (IDEA: core
-        6 MHz, IMU/memory 24 MHz) get one domain each, the interface
-        domain started first for deterministic ordering at coincident
-        edges.
+        6 MHz, IMU/memory 24 MHz) get one domain each, linked as peers
+        so inert edges collapse across both at once (see
+        :func:`~repro.sim.clock.link_peers`); at coincident edges the
+        slower core domain runs first, as per-edge scheduling orders
+        them.
         """
         domains: list[ClockDomain] = []
         if bitstream.single_domain:
@@ -81,6 +83,7 @@ class System:
             core_domain = ClockDomain(self.engine, "core", bitstream.core_frequency)
             core_domain.attach(core_tick)
             domains.extend([iface_domain, core_domain])
+            link_peers(domains)
         return domains
 
     @staticmethod

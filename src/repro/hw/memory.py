@@ -41,6 +41,9 @@ class Memory:
         self.read_latency = read_latency
         self.write_latency = write_latency
         self._data = np.zeros(size, dtype=np.uint8)
+        # Word accesses go through a byte view of the same buffer: no
+        # numpy round-trip per 1/2/4-byte access.
+        self._bytes = memoryview(self._data)
         self.reads = 0
         self.writes = 0
 
@@ -69,13 +72,27 @@ class Memory:
         """Read a little-endian word of 1, 2, or 4 bytes."""
         if size not in (1, 2, 4):
             raise MemoryAccessError(f"unsupported word size {size}")
-        return int.from_bytes(self.read(addr, size), "little")
+        self._check(addr, size)
+        self.reads += 1
+        return int.from_bytes(self._bytes[addr : addr + size], "little")
 
     def write_word(self, addr: int, value: int, size: int = 4) -> None:
-        """Write a little-endian word of 1, 2, or 4 bytes."""
+        """Write a little-endian word of 1, 2, or 4 bytes.
+
+        *value* must be an unsigned integer that fits *size* bytes.
+        """
         if size not in (1, 2, 4):
             raise MemoryAccessError(f"unsupported word size {size}")
-        self.write(addr, int(value).to_bytes(size, "little"))
+        self._check(addr, size)
+        try:
+            data = int(value).to_bytes(size, "little")
+        except OverflowError:
+            raise MemoryAccessError(
+                f"memory {self.name!r}: value {value} does not fit a "
+                f"{size}-byte word"
+            ) from None
+        self.writes += 1
+        self._bytes[addr : addr + size] = data
 
     def fill(self, value: int = 0) -> None:
         """Set every byte of the memory to *value*."""

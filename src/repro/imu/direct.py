@@ -41,9 +41,11 @@ class DirectInterface:
         self.ports = CoprocessorPorts()
         self._bases: dict[int, tuple[int, int]] = {}
         self.param_regs: list[int] = []
-        self._last_req = 0
+        #: Request id of the last access taken (latched off CP_REQ).
+        self.last_req = 0
         self._remaining = 0
         self._pending = False
+        self._deferred = False
         self.reads = 0
         self.writes = 0
         self.ticks = 0
@@ -79,6 +81,7 @@ class DirectInterface:
     def tick(self) -> None:
         """One rising edge of the interface clock domain."""
         self.ticks += 1
+        self._deferred = False
         ports = self.ports
         if ports.cp_fin.value:
             self.done = True
@@ -87,34 +90,56 @@ class DirectInterface:
             if self._remaining <= 0:
                 self._fire()
             return
-        if ports.cp_access.value and ports.cp_req.value != self._last_req:
-            self._last_req = ports.cp_req.value
-            ports.cp_tlbhit.set(0)
-            latency = self.access_cycles - 2
-            if latency <= 0:
-                self._fire()
-            else:
-                self._pending = True
-                self._remaining = latency
+        if ports.cp_access.value and ports.cp_req.value != self.last_req:
+            self._detect()
+
+    def _detect(self) -> None:
+        """Take the pending request: the DP-RAM access fires
+        ``access_cycles - 2`` edges later (at once for the default 2)."""
+        ports = self.ports
+        self.last_req = ports.cp_req.value
+        ports.cp_tlbhit.set(0)
+        latency = self.access_cycles - 2
+        if latency <= 0:
+            self._fire()
+        else:
+            self._pending = True
+            self._remaining = latency
 
     def inert_edges(self) -> int:
-        """Upcoming edges on which :meth:`tick` only counts ``ticks``.
+        """Upcoming edges on which :meth:`tick` changes no signal.
 
         Unbounded with no access in flight, no new request and no FIN
-        left to latch; zero otherwise.
+        left to latch; the countdown left before the firing edge while
+        an access is in flight.  A new request with ``access_cycles >
+        2`` declares its detection edge and countdown, which
+        :meth:`credit_edges` then performs (unless a CP_* port is
+        observed, as for the :class:`~repro.imu.imu.Imu`); zero
+        otherwise.
         """
-        if self._pending:
-            return 0
+        self._deferred = False
         ports = self.ports
-        if ports.cp_access.value and ports.cp_req.value != self._last_req:
-            return 0
         if ports.cp_fin.value and not self.done:
             return 0
+        if self._pending:
+            return self._remaining - 1 if self._remaining > 1 else 0
+        if ports.cp_access.value and ports.cp_req.value != self.last_req:
+            latency = self.access_cycles - 2
+            if latency <= 0 or ports.observed:
+                return 0
+            self._deferred = True
+            return latency
         return UNBOUNDED
 
     def credit_edges(self, edges: int) -> None:
         """Account *edges* skipped inert edges (see :meth:`inert_edges`)."""
         self.ticks += edges
+        if self._deferred:
+            self._deferred = False
+            self._detect()
+            edges -= 1
+        if self._pending:
+            self._remaining -= edges
 
     def _fire(self) -> None:
         ports = self.ports
@@ -144,10 +169,11 @@ class DirectInterface:
         """Reset handshake state for a fresh chunk invocation."""
         self._pending = False
         self._remaining = 0
+        self._deferred = False
         self.done = False
         ports = self.ports
         ports.cp_start.set(0)
         ports.cp_tlbhit.set(0)
         ports.cp_fin.set(0)
         ports.cp_access.set(0)
-        self._last_req = ports.cp_req.value
+        self.last_req = ports.cp_req.value

@@ -129,7 +129,9 @@ class Imu:
         self.trace_sink = None
         self.state = ImuState.IDLE
         self._remaining = 0
-        self._last_req = 0
+        #: Request id of the last access taken (latched off CP_REQ).
+        self.last_req = 0
+        self._deferred = False
         self._param_handled = False
         # Statistics (reset per execution by the runner).
         self.translations = 0
@@ -147,43 +149,70 @@ class Imu:
     def tick(self) -> None:
         """One rising edge of the IMU clock domain."""
         self.ticks += 1
+        self._deferred = False
         ports = self.ports
         if ports.cp_fin.value and not self.sr.done:
             self._finish()
         if ports.cp_param_done.value and not self._param_handled:
             self._release_param_page()
-        if self.state is ImuState.IDLE:
-            if ports.cp_access.value and ports.cp_req.value != self._last_req:
+        state = self.state
+        if state is ImuState.IDLE:
+            if ports.cp_access.value and ports.cp_req.value != self.last_req:
                 self._begin_translation()
-        elif self.state is ImuState.TRANSLATE:
+        elif state is ImuState.TRANSLATE:
             self.translate_cycles += 1
             self._remaining -= 1
             if self._remaining <= 0:
                 self._fire()
-        elif self.state is ImuState.FAULT:
+        else:
             self.fault_stall_cycles += 1
 
     def inert_edges(self) -> int:
-        """Upcoming edges on which :meth:`tick` only counts ``ticks``.
+        """Upcoming edges on which :meth:`tick` changes no signal.
 
-        Unbounded while the FSM is IDLE with no new request and no
-        FIN or parameter release waiting; zero otherwise.  Translation
-        countdowns and fault stalls are always executed edge by edge.
+        * IDLE with nothing pending: unbounded (until an input changes).
+        * IDLE with a new request pending: the detection edge plus the
+          translation countdown, ``access_cycles - 2 + sync_cycles``
+          edges (``sync_cycles`` when pipelined).  The detection —
+          request-id latch, AR capture and the ``CP_TLBHIT`` fall — is
+          then performed by :meth:`credit_edges`, so only the firing
+          edge executes.  While any CP_* port has an observer (a
+          waveform probe), detection is an executed edge instead, so
+          the probe sees the fall at its true time.
+        * TRANSLATE: the countdown left before the firing edge,
+          ``_remaining - 1``.
+        * FAULT, a pending FIN or parameter release: zero.
         """
-        if self.state is not ImuState.IDLE:
-            return 0
+        self._deferred = False
         ports = self.ports
-        if ports.cp_access.value and ports.cp_req.value != self._last_req:
-            return 0
         if ports.cp_fin.value and not self.sr.done:
             return 0
         if ports.cp_param_done.value and not self._param_handled:
             return 0
+        state = self.state
+        if state is ImuState.TRANSLATE:
+            return self._remaining - 1 if self._remaining > 1 else 0
+        if state is ImuState.FAULT:
+            return 0
+        if ports.cp_access.value and ports.cp_req.value != self.last_req:
+            if ports.observed:
+                return 0
+            latency = self._translation_latency()
+            # Credit may detect only a request this declaration saw.
+            self._deferred = latency > 0
+            return latency
         return UNBOUNDED
 
     def credit_edges(self, edges: int) -> None:
         """Account *edges* skipped inert edges (see :meth:`inert_edges`)."""
         self.ticks += edges
+        if self._deferred:
+            self._deferred = False
+            self._begin_translation()
+            edges -= 1
+        if self.state is ImuState.TRANSLATE:
+            self.translate_cycles += edges
+            self._remaining -= edges
 
     def tag(self, obj: int) -> int:
         """Widen a CP_OBJ value with the active ASID (CAM match tag).
@@ -195,7 +224,7 @@ class Imu:
 
     def _begin_translation(self) -> None:
         ports = self.ports
-        self._last_req = ports.cp_req.value
+        self.last_req = ports.cp_req.value
         ports.cp_tlbhit.set(0)
         # AR latches the asid-tagged object id: the VIM services faults
         # against its global (per-tenant) object table.
@@ -307,6 +336,7 @@ class Imu:
         """
         self.state = ImuState.IDLE
         self._remaining = 0
+        self._deferred = False
         self._param_handled = False
         if not keep_tlb:
             self.tlb.invalidate_all()
@@ -317,7 +347,7 @@ class Imu:
         ports.cp_fin.set(0)
         ports.cp_param_done.set(0)
         ports.cp_access.set(0)
-        self._last_req = ports.cp_req.value
+        self.last_req = ports.cp_req.value
 
     def reset_stats(self) -> None:
         """Zero the per-execution counters."""

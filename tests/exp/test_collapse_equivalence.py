@@ -56,8 +56,10 @@ def _run_both(config: CellConfig):
     return per_edge, per_edge_counts, collapsed, builds
 
 
-#: Apps whose cores have no compute phase: a single-domain design
-#: then has no edge every handler is inert on, and nothing collapses.
+#: Apps whose cores have no compute phase: every edge they skip lies
+#: inside an access (the detection edge and the translation
+#: countdown), so with the default 4-edge access they still pass more
+#: than twice the edges they execute.
 _NO_COMPUTE = {"vadd", "synthetic", "trace"}
 
 
@@ -69,10 +71,9 @@ def _assert_equivalent(config: CellConfig) -> None:
     # per-edge would pass the equalities above trivially).
     executed = sum(d.executed for domains, _, _ in builds for d in domains)
     passed = sum(d.cycles for domains, _, _ in builds for d in domains)
+    assert executed < passed
     if config.app in _NO_COMPUTE:
-        assert executed == passed
-    else:
-        assert executed < passed
+        assert 2 * executed < passed
 
 
 @pytest.mark.parametrize("name", sorted(CELLS))

@@ -17,7 +17,7 @@ from repro.hw.dpram import DualPortRam
 from repro.hw.interrupts import InterruptController
 from repro.imu.direct import DirectInterface
 from repro.imu.imu import Imu
-from repro.sim.clock import ClockDomain
+from repro.sim.clock import ClockDomain, link_peers
 from repro.sim.engine import Engine
 from repro.sim.time import mhz
 
@@ -101,13 +101,16 @@ def make_imu_rig(
     imu_mhz: float = 40.0,
     tlb_capacity: int | None = None,
     core_factory=None,
+    peers: bool = False,
 ) -> ImuRig:
     """Build an engine + IMU + scripted core rig.
 
     With ``core_mhz`` unset, core and IMU share one domain (IMU ticked
     first, as in the real single-domain designs); otherwise the core
-    gets its own, slower domain.  *core_factory* (default
-    :class:`ScriptCore`) builds the core from the script.
+    gets its own, slower domain, linked to the IMU's as peers if
+    *peers* (as :meth:`System.build_clock_domains` links them).
+    *core_factory* (default :class:`ScriptCore`) builds the core from
+    the script.
     """
     engine = Engine()
     interrupts = InterruptController()
@@ -131,6 +134,8 @@ def make_imu_rig(
         core_domain = ClockDomain(engine, "core", mhz(core_mhz))
         core_domain.attach(core.tick)
         extra.append(core_domain)
+        if peers:
+            link_peers([domain, core_domain])
     return ImuRig(engine, interrupts, dpram, imu, core, domain, extra)
 
 

@@ -1,9 +1,12 @@
 """Unit tests for the backing-store memory models."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.errors import MemoryAccessError
+from repro.errors import MemoryAccessError, ReproError
 from repro.hw.memory import Flash, Memory, Sdram
+from tests.helpers import make_imu_rig
 
 
 class TestMemory:
@@ -72,6 +75,51 @@ class TestMemory:
         mem = Memory("m", 8)
         mem.view()[3] = 99
         assert mem.read(3, 1) == bytes([99])
+
+
+class TestWordValueRange:
+    @pytest.mark.parametrize(
+        "value, size", [(0x1FFFF, 2), (0x100, 1), (1 << 32, 4), (-1, 4), (-5, 1)]
+    )
+    def test_value_wider_than_the_word_names_value_and_size(self, value, size):
+        mem = Memory("m", 16)
+        with pytest.raises(MemoryAccessError) as info:
+            mem.write_word(0, value, size)
+        assert str(value) in str(info.value)
+        assert f"{size}-byte" in str(info.value)
+        assert mem.read(0, 16) == bytes(16)
+        assert mem.writes == 0
+
+    def test_narrow_coprocessor_write_of_a_wide_value_is_a_repro_error(self):
+        rig = make_imu_rig([("write", 0, 0, 0x1FFFF, 2)])
+        rig.imu.tlb.insert(0, 0, 1)
+        with pytest.raises(ReproError):
+            rig.run()
+
+    @given(
+        ops=st.lists(
+            st.tuples(
+                st.booleans(),
+                st.sampled_from((1, 2, 4)),
+                st.integers(min_value=0, max_value=60),
+                st.integers(min_value=0, max_value=(1 << 32) - 1),
+            ),
+            max_size=40,
+        )
+    )
+    def test_word_ops_equal_byte_slices(self, ops):
+        words = Memory("words", 64)
+        bytewise = Memory("bytes", 64)
+        for write, size, addr, value in ops:
+            if write:
+                value &= (1 << (8 * size)) - 1
+                words.write_word(addr, value, size)
+                bytewise.write(addr, value.to_bytes(size, "little"))
+            else:
+                expected = int.from_bytes(bytewise.read(addr, size), "little")
+                assert words.read_word(addr, size) == expected
+        assert words.read(0, 64) == bytewise.read(0, 64)
+        assert (words.reads, words.writes) == (bytewise.reads, bytewise.writes)
 
 
 class TestPresets:

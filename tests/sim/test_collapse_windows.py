@@ -15,8 +15,10 @@ from repro.hw.dpram import DualPortRam
 from repro.imu.direct import DirectInterface
 from repro.imu.imu import INT_PLD_LINE, Imu, ImuState
 from repro.sim.clock import UNBOUNDED, ClockDomain
+from repro.sim.engine import Engine
 from repro.sim.time import mhz
-from tests.helpers import ImuRig, edge_counts, make_imu_rig
+from repro.trace.timeline import WaveformProbe
+from tests.helpers import ImuRig, edge_counts, make_direct_rig, make_imu_rig
 
 
 def _domains(rig: ImuRig) -> list[ClockDomain]:
@@ -200,12 +202,28 @@ class TestInterfaceDeclarations:
     @pytest.mark.parametrize("signal", ["request", "cp_fin", "cp_param_done"])
     def test_imu_pending_input_is_not_inert(self, imu: Imu, signal):
         _drive(imu.ports, signal)
+        if signal != "request":
+            assert imu.inert_edges() == 0
+            return
+        # A new request declares its detection edge plus the countdown
+        # (access_cycles - 2 + sync_cycles), unless a probe watches the
+        # ports: then detection is an executed edge.
+        assert imu.inert_edges() == imu.access_cycles - 2 + imu.sync_cycles
+        probe = WaveformProbe(Engine(), [imu.ports.cp_din])
         assert imu.inert_edges() == 0
+        probe.detach()
+        assert imu.inert_edges() == imu.access_cycles - 2 + imu.sync_cycles
 
     @pytest.mark.parametrize("state", [ImuState.TRANSLATE, ImuState.FAULT])
     def test_busy_imu_is_not_inert(self, imu: Imu, state):
         imu.state = state
-        assert imu.inert_edges() == 0
+        if state is ImuState.FAULT:
+            assert imu.inert_edges() == 0
+            return
+        # The countdown before the firing edge, never negative.
+        for remaining, declared in ((5, 4), (2, 1), (1, 0)):
+            imu._remaining = remaining
+            assert imu.inert_edges() == declared
 
     def test_direct_interface_declarations(self):
         iface = DirectInterface(DualPortRam())
@@ -216,6 +234,43 @@ class TestInterfaceDeclarations:
             assert probe.inert_edges() == 0
         iface._pending = True
         assert iface.inert_edges() == 0
+
+    def test_direct_interface_declares_its_countdown(self):
+        iface = DirectInterface(DualPortRam(), access_cycles=5)
+        _drive(iface.ports, "request")
+        assert iface.inert_edges() == 3
+        iface.credit_edges(2)  # detection plus one countdown edge
+        assert iface.ticks == 2 and iface.last_req == iface.ports.cp_req.value
+        assert iface._pending and iface.inert_edges() == 1
+
+    @pytest.mark.parametrize("access_cycles", [2, 3, 5])
+    def test_direct_interface_accesses_collapse(self, access_cycles):
+        script = [
+            ("write", 0, 0, 0x1234),
+            ("read", 0, 0),
+            ("compute", 7),
+            ("read", 0, 0, 2),
+        ]
+        runs = []
+        for per_edge in (False, True):
+            engine, dpram, iface, core, domain = make_direct_rig(
+                script, access_cycles=access_cycles
+            )
+            if per_edge:
+                domain.attach(lambda: None)
+            iface.set_object_window(0, 0, 64)
+            iface.start_coprocessor()
+            domain.start()
+            engine.run_until(lambda: iface.done, max_time_ps=10**9)
+            domain.stop()
+            runs.append(
+                (domain.cycles, iface.ticks, core.cycles, core.results,
+                 core.stamps, engine.now, domain.executed)
+            )
+        (*collapsed, executed), (*per_edge, per_edge_executed) = runs
+        assert collapsed == per_edge
+        assert collapsed[3] == [None, 0x1234, None, 0x1234]
+        assert executed < per_edge_executed
 
     def test_fin_is_seen_with_a_distant_event_pending(self):
         # Core finished (inert for ever) and a far-off event to bound

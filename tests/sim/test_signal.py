@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
+from repro.sim import signal as signals
 from repro.sim.signal import Signal, SignalBundle
 
 
@@ -52,6 +53,18 @@ class TestSignal:
         sig.set(3)
         assert seen == []
 
+    def test_change_counter_moves_only_on_actual_changes(self):
+        sig = Signal("s", width=8, init=7)
+        before = signals.changes
+        sig.set(7)
+        assert signals.changes == before
+        sig.set(8)
+        sig.set(9)
+        assert signals.changes == before + 2
+        with pytest.raises(SimulationError):
+            sig.set(256)
+        assert signals.changes == before + 2
+
     def test_bool_conversion(self):
         assert not Signal("s")
         assert Signal("s", init=1)
@@ -69,3 +82,27 @@ class TestSignalBundle:
         b = bundle.new("b")
         assert list(bundle) == [a, b]
         assert len(bundle) == 2
+
+    def test_observed_counts_observers_on_member_signals(self):
+        bundle = SignalBundle("cp")
+        a = bundle.new("a")
+        b = bundle.new("b")
+        first = lambda s, t, v: None  # noqa: E731
+        second = lambda s, t, v: None  # noqa: E731
+        assert bundle.observed == 0
+        a.observe(first)
+        b.observe(first)
+        b.observe(second)
+        assert bundle.observed == 3
+        b.unobserve(first)
+        a.unobserve(first)
+        assert bundle.observed == 1
+        b.unobserve(second)
+        assert bundle.observed == 0
+
+    def test_adding_an_observed_signal_counts_its_observers(self):
+        sig = Signal("s")
+        sig.observe(lambda s, t, v: None)
+        bundle = SignalBundle("cp")
+        bundle.add(sig)
+        assert bundle.observed == 1
