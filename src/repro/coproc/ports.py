@@ -29,8 +29,7 @@ clock-domain ratios (the IDEA core at 6 MHz talks to an IMU at 24 MHz).
 
 from __future__ import annotations
 
-from repro.sim import signal as signals
-from repro.sim.signal import SignalBundle
+from repro.sim.signal import Signal, SignalBundle
 
 #: Object id reserved for the parameter-passing page (§3.2: "the
 #: coprocessor looks for parameters in a memory page designated to
@@ -63,16 +62,6 @@ def obj_local(tagged: int) -> int:
 ADDR_BITS = 32
 #: Width of the data lines.
 DATA_BITS = 32
-#: Width of the CP_SIZE lines (access bytes: 1, 2 or 4).
-SIZE_BITS = 3
-#: Width of the CP_REQ request-id lines.
-REQ_BITS = 16
-
-_OBJ_MAX = (1 << OBJ_BITS) - 1
-_ADDR_MAX = (1 << ADDR_BITS) - 1
-_SIZE_MAX = (1 << SIZE_BITS) - 1
-_DATA_MASK = (1 << DATA_BITS) - 1
-_REQ_MASK = (1 << REQ_BITS) - 1
 
 
 class CoprocessorPorts(SignalBundle):
@@ -84,10 +73,10 @@ class CoprocessorPorts(SignalBundle):
         self.cp_obj = self.new("cp_obj", OBJ_BITS)
         self.cp_addr = self.new("cp_addr", ADDR_BITS)
         self.cp_dout = self.new("cp_dout", DATA_BITS)
-        self.cp_size = self.new("cp_size", SIZE_BITS, init=4)  # bytes: 1/2/4
+        self.cp_size = self.new("cp_size", 3, init=4)  # access bytes: 1/2/4
         self.cp_access = self.new("cp_access", 1)
         self.cp_wr = self.new("cp_wr", 1)
-        self.cp_req = self.new("cp_req", REQ_BITS)  # request id (new-access strobe)
+        self.cp_req = self.new("cp_req", 16)  # request id (new-access strobe)
         self.cp_fin = self.new("cp_fin", 1)
         self.cp_param_done = self.new("cp_param_done", 1)
         # Driven by the interface (IMU or direct wrapper).
@@ -105,33 +94,14 @@ class CoprocessorPorts(SignalBundle):
         time_ps: int = 0,
     ) -> None:
         """Drive one new access request (coprocessor side)."""
-        if (
-            not self.observed
-            and 0 <= obj <= _OBJ_MAX
-            and 0 <= addr <= _ADDR_MAX
-            and 0 <= size <= _SIZE_MAX
-        ):
-            # Nobody watches the wires and every value fits its lines:
-            # drive them directly.  The request id always changes, so
-            # the change counter moves once.
-            self.cp_obj.value = obj
-            self.cp_addr.value = addr
-            self.cp_size.value = size
-            self.cp_wr.value = 1 if write else 0
-            if write:
-                self.cp_dout.value = data & _DATA_MASK
-            self.cp_access.value = 1
-            self.cp_req.value = (self.cp_req.value + 1) & _REQ_MASK
-            signals.changes += 1
-            return
         self.cp_obj.set(obj, time_ps)
         self.cp_addr.set(addr, time_ps)
         self.cp_size.set(size, time_ps)
         self.cp_wr.set(1 if write else 0, time_ps)
         if write:
-            self.cp_dout.set(data & _DATA_MASK, time_ps)
+            self.cp_dout.set(data & ((1 << DATA_BITS) - 1), time_ps)
         self.cp_access.set(1, time_ps)
-        self.cp_req.set((self.cp_req.value + 1) & _REQ_MASK, time_ps)
+        self.cp_req.set((self.cp_req.value + 1) & 0xFFFF, time_ps)
 
     def retire(self, time_ps: int = 0) -> None:
         """De-assert the access lines after a completed access."""

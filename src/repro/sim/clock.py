@@ -46,7 +46,7 @@ Peer domains
 A dual-domain design (IDEA's 6 MHz core and 24 MHz IMU) has two
 domains whose handlers read each other's signals.  Cut at each
 other's next scheduled edge, neither would ever skip much, so
-:func:`link_peers` plans them jointly instead.  Linked domains share
+:func:`link_peers` plans the two jointly instead.  Linked domains share
 one engine event placed at their earliest *declared* first live edge:
 
 * each domain declares from its own handlers, bounded by the next
@@ -63,6 +63,11 @@ time, longest period first (the order per-edge scheduling gives them:
 the slower domain's edge was scheduled earlier), then in link order.
 The plan assumes every event outside the group that can land inside a
 window is scheduled before the clocks start — as DMA completions are.
+
+A domain without a peer keeps its own, cheaper scheduling
+(``_window``): planned as a one-member group instead, the compute
+benchmark's cells took about 4% more CPU time (2-vCPU Xeon VM,
+CPython 3.11), the paging benchmark's about 2%.
 """
 
 from __future__ import annotations
@@ -252,13 +257,17 @@ class ClockDomain:
 
 
 def link_peers(domains: list[ClockDomain]) -> None:
-    """Plan *domains* jointly (see "Peer domains" above).
+    """Plan two domains jointly (see "Peer domains" above).
 
-    For domains of one engine whose handlers read each other's
+    For two domains of one engine whose handlers read each other's
     signals.  Link them while they are stopped, in the order they are
     started, and start and stop them together: coincident edges then
     run in the order per-edge scheduling gives them.
     """
+    if len(domains) != 2:
+        raise SimulationError(
+            f"link_peers links exactly two clock domains, got {len(domains)}"
+        )
     _PeerGroup(domains)
 
 
@@ -267,11 +276,15 @@ class _PeerGroup:
     earliest first live edge among the running members."""
 
     def __init__(self, domains: list[ClockDomain]) -> None:
-        engines = {id(domain.engine) for domain in domains}
-        if len(engines) != 1:
+        first, second = domains
+        if first.engine is not second.engine:
             raise SimulationError("linked clock domains must share one engine")
-        if any(domain._group is not None or domain.running for domain in domains):
-            raise SimulationError("link clock domains once, while stopped")
+        if first is second or any(
+            domain._group is not None or domain.running for domain in domains
+        ):
+            raise SimulationError(
+                "link two distinct clock domains once, while stopped"
+            )
         self.engine = domains[0].engine
         # Rank order at coincident edges (sorted() is stable).
         self.members = sorted(domains, key=lambda domain: -domain.period_ps)
@@ -320,7 +333,14 @@ class _PeerGroup:
         """Re-plan after *current* executed the edge at ``engine.now``.
 
         *changed* tells whether that edge drove any signal.  The other
-        members have been credited every edge before this instant.
+        member has been credited every edge before this instant.
+
+        A group has exactly two members, which the staleness check
+        below relies on: a wire that crediting the other member's
+        skipped edges drove (in :meth:`_edge`) is one the current
+        member has read since, and the other member's plan already
+        counts its own credited effects.  With a third member such a
+        change would go unseen by it.
         """
         now = self.engine.now
         bound = self.engine.peek()
@@ -333,7 +353,8 @@ class _PeerGroup:
                 continue
             elif member._next_ps == now or not (changed or member._cut):
                 # Due right after this edge, or declared on inputs that
-                # still stand: keep its plan.
+                # still stand (sound for two members: see above): keep
+                # its plan.
                 if member._next_ps < first:
                     first = member._next_ps
                 continue

@@ -10,6 +10,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from repro.coproc.base import Behavior, Coprocessor
+from repro.core import system as system_module
 from repro.core.system import System
 from repro.exp.spec import CACHE_VERSION
 from repro.exp.store import open_store
@@ -160,32 +161,46 @@ def _no_op() -> None:
     collapses an edge."""
 
 
+def _leave_unlinked(domains: list[ClockDomain]) -> None:
+    """Stand-in for :func:`link_peers`: the domains keep scheduling
+    their own edges."""
+
+
 @contextmanager
 def clocked_runs(per_edge: bool = False):
     """Record every clock build of the runs inside the block.
 
     Wraps :meth:`System.build_clock_domains`; yields a list that gains
     one ``(domains, iface, core)`` triple per build.  With *per_edge*
-    each built domain also gets a no-op handler attached, which turns
-    inert-edge collapse off — the per-edge oracle a collapsed run must
-    match exactly.
+    the build leaves a dual-domain design's two domains unlinked and
+    attaches a no-op handler to each built domain, which turns
+    inert-edge collapse off: every edge is its own engine event, in
+    the order the engine's FIFO gives it.  That is the per-edge oracle
+    a collapsed run must match exactly.
     """
     builds: list[tuple[list[ClockDomain], object, Coprocessor]] = []
     original = System.build_clock_domains
+    original_link = system_module.link_peers
 
     def build(system, bitstream, iface_tick, core_tick):
         domains = original(system, bitstream, iface_tick, core_tick)
         if per_edge:
             for domain in domains:
+                # Linked through another path than the patched name,
+                # the oracle would share the plan it is to check.
+                assert domain._group is None, "per-edge oracle got linked"
                 domain.attach(_no_op)
         builds.append((domains, iface_tick.__self__, core_tick.__self__))
         return domains
 
     System.build_clock_domains = build
+    if per_edge:
+        system_module.link_peers = _leave_unlinked
     try:
         yield builds
     finally:
         System.build_clock_domains = original
+        system_module.link_peers = original_link
 
 
 def edge_counts(builds) -> list[dict[str, object]]:

@@ -143,9 +143,20 @@ def test_link_peers_validation():
     with pytest.raises(SimulationError):
         link_peers([a, b])
     c = ClockDomain(engine, "c", mhz(40.0))
+    d = ClockDomain(engine, "d", mhz(24.0))
+    # Exactly two distinct, stopped domains.
+    for domains in ([a], [a, c, d], [a, a]):
+        with pytest.raises(SimulationError, match="two"):
+            link_peers(domains)
+    d.start()
+    with pytest.raises(SimulationError):
+        link_peers([a, d])
+    d.stop()
     link_peers([a, c])
     with pytest.raises(SimulationError):
         link_peers([a, c])
+    with pytest.raises(SimulationError):
+        link_peers([c, d])
 
 
 # ----------------------------------------------------------------------
@@ -173,7 +184,12 @@ def test_coincident_dual_domain_cell_matches_per_edge(transfer):
     assert collapsed.outputs == per_edge.outputs
     assert edge_counts(builds) == edge_counts(per_edge_builds)
     assert collapsed.measurement.counters.page_faults > 0
+    # The oracle schedules each domain on its own; the run under test
+    # plans them jointly.
+    [(oracle_domains, _, _)] = per_edge_builds
+    assert all(domain._group is None for domain in oracle_domains)
     [(domains, _, _)] = builds
+    assert all(domain._group is not None for domain in domains)
     iface, core = domains
     # Every core edge coincides with an interface edge.
     assert core.period_ps == 4 * iface.period_ps
